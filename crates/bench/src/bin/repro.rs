@@ -5,10 +5,10 @@
 //! ```
 //!
 //! Experiments: `fig1`, `fig2a`, `fig2b`, `fig3`, `fig4`, `fig5`,
-//! `lemmas`, `quality`, `ablation-index`, `ablation-delta`,
-//! `ablation-shadow`, `bounds`, `space`, `amortized`, `schedules`,
-//! `enumeration`, `pruning`, `serve`, `net`, `net-scale`, `similarity`,
-//! `fleet`, `fleet-router`, `replay`, `churn`, or `all`.
+//! `lemmas`, `quality`, `ablation-index`, `ablation-shadow`, `bounds`,
+//! `space`, `amortized`, `schedules`, `enumeration`, `pruning`, `serve`,
+//! `net`, `net-scale`, `similarity`, `fleet`, `fleet-router`, `replay`,
+//! `churn`, or `all`.
 //! `--fast` shrinks the scale factor and level counts for a quick smoke
 //! run; `--stats` appends the enumeration-plane counter table (splits
 //! visited/skipped, pairs skipped, scratch high-water) regardless of the
@@ -76,7 +76,6 @@ const EXPERIMENTS: &[&str] = &[
     "lemmas",
     "quality",
     "ablation-index",
-    "ablation-delta",
     "ablation-shadow",
     "bounds",
     "space",
@@ -346,9 +345,6 @@ fn main() {
     }
     if run("ablation-index") {
         ablations_index(&model, cli.sf);
-    }
-    if run("ablation-delta") {
-        ablations_delta(&model, cli.sf);
     }
     if run("ablation-shadow") {
         ablation_shadow_exp(&model, cli.sf);
@@ -711,29 +707,6 @@ fn ablations_index(model: &StandardCostModel, sf: f64) {
             name.to_string(),
             format!("{grid:.4}"),
             format!("{linear:.4}"),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// Ablation: delta-set filtering on/off.
-fn ablations_delta(model: &StandardCostModel, sf: f64) {
-    println!("=== Ablation: delta-set filtering in Fresh ===\n");
-    let schedule = ExperimentSetup::fig4().schedule(20);
-    let mut t = TextTable::new(vec![
-        "query",
-        "with delta (s)",
-        "without (s)",
-        "settled pairs skipped",
-    ]);
-    for name in ["q03", "q05", "q09"] {
-        let spec = query_block(name, sf).expect("block");
-        let (with_d, without_d, settled) = ablation_delta(&spec, model, &schedule);
-        t.row(vec![
-            name.to_string(),
-            format!("{with_d:.4}"),
-            format!("{without_d:.4}"),
-            settled.to_string(),
         ]);
     }
     println!("{}", t.render());

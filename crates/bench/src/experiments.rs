@@ -52,7 +52,7 @@ pub fn iama_series(
 }
 
 /// Like [`iama_series`] but with an explicit optimizer configuration
-/// (index-kind and Δ-set ablations).
+/// (the index-kind ablation).
 pub fn iama_series_with_config(
     spec: &QuerySpec,
     model: &StandardCostModel,
@@ -331,36 +331,6 @@ pub fn ablation_index(
     (sum(&grid), sum(&linear))
 }
 
-/// Ablation: Δ-set filtering on vs off — total time and settled pairs
-/// skipped (`(secs_with, secs_without, settled_pairs_without)`). Without
-/// Δ filtering every invocation recombines the full cross products, so
-/// already-combined pairs are re-skipped — positionally by the watermark
-/// rectangles where possible, through the `IsFresh` hash otherwise.
-pub fn ablation_delta(
-    spec: &QuerySpec,
-    model: &StandardCostModel,
-    schedule: &ResolutionSchedule,
-) -> (f64, f64, u64) {
-    let with_delta = iama_series_with_config(spec, model, schedule, IamaConfig::default());
-    let b = Bounds::unbounded(model.dim());
-    let mut opt = IamaOptimizer::with_config(
-        Arc::new(spec.clone()),
-        Arc::new(model.clone()),
-        schedule.clone(),
-        IamaConfig {
-            use_delta: false,
-            ..IamaConfig::default()
-        },
-    );
-    let mut without_secs = 0.0;
-    for r in 0..=schedule.r_max() {
-        without_secs += opt.optimize(&b, r).seconds();
-    }
-    let settled = opt.stats().stale_pairs_skipped + opt.stats().pairs_skipped_watermark;
-    let with_secs: f64 = with_delta.iter().map(|r| r.seconds()).sum();
-    (with_secs, without_secs, settled)
-}
-
 /// Bound-tightening scenario (Example 3 / Figure 1c): invocation times of
 /// a series where the user tightens the time bound halfway through.
 /// Returns `(invocation, resolution, seconds, frontier_size)` tuples.
@@ -478,11 +448,6 @@ mod tests {
         let schedule = ResolutionSchedule::linear(3, 1.05, 0.5);
         let (grid, linear) = ablation_index(&spec, &model, &schedule);
         assert!(grid > 0.0 && linear > 0.0);
-        let (with_d, without_d, settled) = ablation_delta(&spec, &model, &schedule);
-        assert!(with_d > 0.0 && without_d > 0.0);
-        // Without Δ filtering, already-combined pairs are re-skipped
-        // (watermark rectangles or the IsFresh fallback).
-        assert!(settled > 0);
     }
 }
 

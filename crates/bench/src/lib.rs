@@ -2,9 +2,8 @@
 //!
 //! Every figure of the paper's evaluation (and the conceptual figures of
 //! the introduction) maps to a function here; the `repro` binary prints
-//! the same series the paper reports and the criterion benches in
-//! `benches/` time the same code. See DESIGN.md §5 for the experiment
-//! index and EXPERIMENTS.md for the recorded paper-vs-measured results.
+//! the same series the paper reports and writes the `BENCH_*.json`
+//! envelopes described in `docs/benchmarks.md`.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 //! interactive SLO session by session; this one measures how the
 //! admission door behaves when arrivals do not wait for service. A
 //! deterministic open-loop schedule (fixed inter-arrival gap, arrival
-//! times fixed up front — late service makes the next submits burst
+//! times fixed up front — a slow submit makes the next submits burst
 //! instead of silently stretching the schedule, so there is no
 //! coordinated omission) draws query templates from a Zipf-skewed
 //! distribution and replays the same trace against a fresh
@@ -16,10 +16,12 @@
 //! * `degrade` — admit under a coarser resolution ladder up to a hard
 //!   cap.
 //!
-//! A small in-line service loop completes the oldest sessions (first
-//! report observed, then cancel + finish) so capacity actually frees —
-//! without it the queue policy would never drain and every policy would
-//! converge to "reject everything".
+//! A service thread of its own completes admitted sessions oldest first
+//! (first report observed, then cancel + finish) so capacity actually
+//! frees — without it the queue policy would never drain and every
+//! policy would converge to "reject everything". Arrivals never wait on
+//! it: when service falls behind, live sessions pile up past `max_live`
+//! and the policy under test engages.
 
 use moqo_core::protocol::SessionRequest;
 use moqo_core::{AdmissionResponse, SessionCommand};
@@ -30,7 +32,7 @@ use moqo_query::{testkit, QuerySpec};
 use moqo_serve::{
     AdmissionConfig, AdmissionPolicy, MoqoServer, ServeConfig, ShardConfig, Ticket, TicketStatus,
 };
-use std::collections::VecDeque;
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,28 +85,35 @@ impl Zipf {
     }
 }
 
-/// Tallies of one policy's replay, accumulated by [`run_policy`].
+/// Admission outcomes of one policy's replay, tallied by the arrival
+/// loop of [`run_policy`].
 #[derive(Default)]
 struct Tally {
     admitted: u64,
     degraded: u64,
     queued: u64,
     rejected: u64,
+}
+
+/// Service outcomes, tallied by the service thread ([`serve`]).
+#[derive(Default)]
+struct Served {
     completed: u64,
     zero_plan_starts: u64,
 }
 
 /// Waits for the session behind `ticket` to publish its first
 /// invocation report, then cancels and finishes it, folding the outcome
-/// into the tally.
-fn complete(server: &MoqoServer, ticket: Ticket, tally: &mut Tally) {
+/// into the tally. A queued ticket is waited for until it admits.
+fn complete(server: &MoqoServer, ticket: Ticket, served: &mut Served) {
     let deadline = Instant::now() + WEDGED;
     loop {
         match server.poll(ticket) {
             Some(TicketStatus::Active { ref view, .. }) if view.first_report.is_some() => break,
-            Some(TicketStatus::Active { .. }) | Some(TicketStatus::Queued { .. }) => {
+            Some(TicketStatus::Active { .. }) => {
                 server.recv(ticket, Duration::from_millis(20));
             }
+            Some(TicketStatus::Queued { .. }) => std::thread::yield_now(),
             other => panic!("session to complete is not live: {other:?}"),
         }
         assert!(Instant::now() < deadline, "session never reported");
@@ -113,14 +122,26 @@ fn complete(server: &MoqoServer, ticket: Ticket, tally: &mut Tally) {
         .command(ticket, SessionCommand::Cancel)
         .expect("live session accepts cancel");
     let view = server.finish(ticket).expect("finished view");
-    tally.completed += 1;
+    served.completed += 1;
     if view
         .first_report
         .as_ref()
         .is_some_and(|r| r.plans_generated == 0)
     {
-        tally.zero_plan_starts += 1;
+        served.zero_plan_starts += 1;
     }
+}
+
+/// The service thread: completes every ticket it is handed, in
+/// submission order, until the arrival loop hangs up. Queued tickets
+/// admit in FIFO order as earlier sessions finish, so serving in
+/// submission order never waits on a ticket that cannot admit.
+fn serve(server: &MoqoServer, tickets: mpsc::Receiver<Ticket>) -> Served {
+    let mut served = Served::default();
+    for ticket in tickets {
+        complete(server, ticket, &mut served);
+    }
+    served
 }
 
 /// Replays the trace against a fresh server under `policy` and records
@@ -153,85 +174,55 @@ fn run_policy(fast: bool, policy: AdmissionPolicy, policy_label: &str, trial: &m
     let mut rng = XorShift::new(0x5eed_41aa);
     let mut tally = Tally::default();
     let mut submit_us = Samples::with_capacity(arrivals);
-    // Admitted (full or degraded) sessions awaiting service, oldest
-    // first, plus tickets parked in the bounded admission queue.
-    let mut live: VecDeque<Ticket> = VecDeque::new();
-    let mut parked: Vec<Ticket> = Vec::new();
     let mut head_hits = 0u64;
+    let (to_service, tickets) = mpsc::channel();
 
-    let start = Instant::now();
-    for i in 0..arrivals {
-        // Open loop: each arrival has a fixed due time; a slow service
-        // step below makes the following submits burst, it never
-        // stretches the schedule.
-        let due = start + gap * i as u32;
-        loop {
-            let now = Instant::now();
-            if now >= due {
-                break;
+    let (served, replay_ms, drain_ms) = std::thread::scope(|scope| {
+        let service = scope.spawn(|| serve(&server, tickets));
+        let start = Instant::now();
+        for i in 0..arrivals {
+            // Open loop: each arrival has a fixed due time; a slow
+            // submit makes the following ones burst, it never stretches
+            // the schedule.
+            let due = start + gap * i as u32;
+            loop {
+                let now = Instant::now();
+                if now >= due {
+                    break;
+                }
+                std::thread::sleep(due - now);
             }
-            std::thread::sleep(due - now);
+            let rank = zipf.sample(&mut rng);
+            if rank == 0 {
+                head_hits += 1;
+            }
+            let spec = templates[rank].clone();
+            let t0 = Instant::now();
+            let (ticket, response) = server
+                .submit(SessionRequest::new(spec))
+                .expect("a bare request has nothing to validate");
+            submit_us.push(t0.elapsed().as_secs_f64() * 1e6);
+            match response {
+                AdmissionResponse::Admitted => tally.admitted += 1,
+                AdmissionResponse::Degraded { .. } => tally.degraded += 1,
+                AdmissionResponse::Queued { .. } => tally.queued += 1,
+                AdmissionResponse::Rejected(_) => {
+                    tally.rejected += 1;
+                    continue;
+                }
+            }
+            to_service
+                .send(ticket)
+                .expect("the service thread outlives the arrivals");
         }
-        let rank = zipf.sample(&mut rng);
-        if rank == 0 {
-            head_hits += 1;
-        }
-        let spec = templates[rank].clone();
-        let t0 = Instant::now();
-        let (ticket, response) = server
-            .submit(SessionRequest::new(spec))
-            .expect("a bare request has nothing to validate");
-        submit_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        match response {
-            AdmissionResponse::Admitted => {
-                tally.admitted += 1;
-                live.push_back(ticket);
-            }
-            AdmissionResponse::Degraded { .. } => {
-                tally.degraded += 1;
-                live.push_back(ticket);
-            }
-            AdmissionResponse::Queued { .. } => {
-                tally.queued += 1;
-                parked.push(ticket);
-            }
-            AdmissionResponse::Rejected(_) => tally.rejected += 1,
-        }
-        // Service: complete the oldest sessions beyond half capacity so
-        // slots keep freeing under the arrival stream.
-        while live.len() > MAX_LIVE / 2 {
-            let ticket = live.pop_front().expect("nonempty by the loop guard");
-            complete(&server, ticket, &mut tally);
-        }
-        // Queued tickets admit as capacity frees; promote any that did.
-        parked.retain(|&t| match server.poll(t) {
-            Some(TicketStatus::Active { .. }) => {
-                live.push_back(t);
-                false
-            }
-            _ => true,
-        });
-    }
-    let replay_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Drain: complete everything still live, promoting parked tickets
-    // as their slots free, until nothing is left.
-    let t_drain = Instant::now();
-    let deadline = t_drain + WEDGED;
-    while !live.is_empty() || !parked.is_empty() {
-        assert!(Instant::now() < deadline, "replay did not drain");
-        while let Some(ticket) = live.pop_front() {
-            complete(&server, ticket, &mut tally);
-        }
-        parked.retain(|&t| match server.poll(t) {
-            Some(TicketStatus::Active { .. }) => {
-                live.push_back(t);
-                false
-            }
-            _ => true,
-        });
-    }
-    let drain_ms = t_drain.elapsed().as_secs_f64() * 1e3;
+        let replay_ms = start.elapsed().as_secs_f64() * 1e3;
+        // Drain: hang up and let the service thread complete whatever
+        // is still live or queued.
+        let t_drain = Instant::now();
+        drop(to_service);
+        let served = service.join().expect("service thread");
+        (served, replay_ms, t_drain.elapsed().as_secs_f64() * 1e3)
+    });
 
     trial.text("policy", policy_label);
     trial.int("arrivals", arrivals as u64);
@@ -240,8 +231,8 @@ fn run_policy(fast: bool, policy: AdmissionPolicy, policy_label: &str, trial: &m
     trial.int("degraded", tally.degraded);
     trial.int("queued", tally.queued);
     trial.int("rejected", tally.rejected);
-    trial.int("completed", tally.completed);
-    trial.int("zero_plan_starts", tally.zero_plan_starts);
+    trial.int("completed", served.completed);
+    trial.int("zero_plan_starts", served.zero_plan_starts);
     trial.num("head_share", head_hits as f64 / arrivals as f64);
     trial.summary_us("submit_", Summary::of_or_zero(&submit_us));
     trial.num("replay_ms", replay_ms);
@@ -309,6 +300,15 @@ mod tests {
                 counter("arrivals") - rejected,
                 "{label}"
             );
+        }
+        // The trace overloads the door: every policy engages.
+        for (label, key) in [
+            ("reject", "rejected"),
+            ("queue", "queued"),
+            ("degrade", "degraded"),
+        ] {
+            let engaged = report.metric(label, key).unwrap().as_u64().unwrap();
+            assert!(engaged > 0, "{label}: the policy never engaged");
         }
         // Policy-specific shapes: only the queue variant parks, only the
         // degrade variant downgrades ladders.

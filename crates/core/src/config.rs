@@ -9,14 +9,6 @@ pub struct IamaConfig {
     /// candidate sets (ablation: `CellGrid` is the paper's suggestion,
     /// `Linear` the naive baseline).
     pub index_kind: IndexKind,
-    /// Enable Δ-set filtering in `Fresh`: when an invocation series allows
-    /// it, only combine sub-plan pairs involving a plan inserted in the
-    /// current invocation. Disabling falls back to `ΔS = S` always — every
-    /// invocation re-walks the full cross products, with duplicate pairs
-    /// suppressed positionally by the per-split watermark rectangles and,
-    /// for pairs combined during churn epochs, by the `IsFresh` hash
-    /// fallback; used by the `ablation-delta` benchmark.
-    pub use_delta: bool,
     /// Consider cross-product joins even when the join graph connects the
     /// two operands nowhere. Off by default (Postgres behaviour).
     pub allow_cross_products: bool,
@@ -50,19 +42,6 @@ pub struct IamaConfig {
     /// inflate result sets several-fold, which quadratically inflates pair
     /// generation (the `ablation-shadow` benchmark quantifies this).
     pub shadow_dominated: bool,
-    /// Run the pruning witness search through the index's batched
-    /// struct-of-arrays kernels (`PlanIndex::dominance_scan`): the cell
-    /// grid evaluates bounds-respect and domination factors over whole
-    /// 64-row lane blocks instead of one `dyn` visitor call per entry.
-    /// Decision-equivalent to the scalar path — identical frontiers, bit
-    /// for bit; only the `prune_comparisons` accounting granularity
-    /// differs — so this is a pure speed knob (`repro pruning` measures
-    /// it). Disabling forces the scalar visitor scan on every index
-    /// kind; the linear/kd-tree kinds use the scalar path either way.
-    ///
-    /// Not serialized in snapshots: both settings produce byte-identical
-    /// exported state, so imported optimizers simply use the default.
-    pub use_batch_kernels: bool,
     /// Accumulate the wall-clock nanoseconds spent in the pruning
     /// witness search into `OptimizerStats::prune_nanos`. Off by
     /// default: two clock reads per generated plan are measurable
@@ -91,12 +70,10 @@ impl Default for IamaConfig {
     fn default() -> Self {
         Self {
             index_kind: IndexKind::CellGrid,
-            use_delta: true,
             allow_cross_products: false,
             track_invariants: false,
             eager_level_skip: true,
             shadow_dominated: true,
-            use_batch_kernels: true,
             time_pruning: false,
             max_seeds_per_slice: 4096,
         }
@@ -121,12 +98,10 @@ mod tests {
     fn defaults_follow_the_paper() {
         let c = IamaConfig::default();
         assert_eq!(c.index_kind, IndexKind::CellGrid);
-        assert!(c.use_delta);
         assert!(!c.allow_cross_products);
         assert!(!c.track_invariants);
         assert!(c.eager_level_skip);
         assert!(c.shadow_dominated);
-        assert!(c.use_batch_kernels);
         assert!(!c.time_pruning);
         assert_eq!(c.max_seeds_per_slice, 4096);
         assert!(IamaConfig::tracked().track_invariants);

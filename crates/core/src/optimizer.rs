@@ -370,12 +370,15 @@ impl IamaOptimizer {
         // `Res[0..b, 0..r]` that was inserted *before* this invocation was
         // already pair-combined: bounds at most as permissive as last time
         // and resolution not coarser (see Section 4.2's discussion of
-        // invocation series).
-        let use_delta = self.config.use_delta
-            && match &self.last_ctx {
-                None => true, // first invocation: all plans are fresh anyway
-                Some((lb, lr)) => lb.contains(bounds) && r >= *lr,
-            };
+        // invocation series). Otherwise phase 2 takes the churn arm and
+        // re-walks the full cross products. The watermark rectangles do
+        // not subsume Δ: they advance only over clean operands, so after
+        // a refocus or under tightened bounds they lag behind the pairs
+        // Δ already rules out.
+        let delta = match &self.last_ctx {
+            None => true, // first invocation: all plans are fresh anyway
+            Some((lb, lr)) => lb.contains(bounds) && r >= *lr,
+        };
 
         // Phase 1 (Algorithm 2 lines 6-12): reconsider candidate plans,
         // in dense subset order (ascending cardinality).
@@ -410,12 +413,12 @@ impl IamaOptimizer {
             self.stats.subsets_visited += 1;
             let q = SubsetId::from_index(ix);
             for off in 0..info.split_len as usize {
-                self.combine_split(q, info.split_offset as usize + off, bounds, r, use_delta);
+                self.combine_split(q, info.split_offset as usize + off, bounds, r, delta);
             }
         }
 
         self.stats.invocations += 1;
-        if use_delta {
+        if delta {
             self.stats.delta_invocations += 1;
         }
         let report = InvocationReport {
@@ -432,7 +435,7 @@ impl IamaOptimizer {
             subsets_visited: self.stats.subsets_visited - subs0,
             splits_visited: self.stats.splits_visited - sv0,
             splits_skipped: self.stats.splits_skipped - ss0,
-            used_delta: use_delta,
+            used_delta: delta,
         };
         self.invocation += 1;
         self.last_ctx = Some((*bounds, r));
@@ -518,7 +521,7 @@ impl IamaOptimizer {
         split_pos: usize,
         bounds: &Bounds,
         r: usize,
-        use_delta: bool,
+        delta: bool,
     ) {
         let cur = self.invocation;
         let split = self.plan.splits()[split_pos];
@@ -536,9 +539,7 @@ impl IamaOptimizer {
             self.stats.splits_skipped += 1;
             return;
         }
-        if use_delta
-            && self.states[la].last_res_insert != cur
-            && self.states[rb].last_res_insert != cur
+        if delta && self.states[la].last_res_insert != cur && self.states[rb].last_res_insert != cur
         {
             // Empty-Δ short-circuit (the paper's empty-operand check):
             // neither side received a result plan this invocation.
@@ -582,7 +583,7 @@ impl IamaOptimizer {
         // entries are tombstones (never needed again), and under Δ
         // filtering the old×old block — skipped below — must already lie
         // inside the rectangle.
-        let advance = if use_delta {
+        let advance = if delta {
             let old_l = old_prefix(&self.states[la].active, cur);
             let old_r = old_prefix(&self.states[rb].active, cur);
             clean_l && clean_r && wm.left >= old_l && wm.right >= old_r
@@ -600,14 +601,14 @@ impl IamaOptimizer {
         let q1 = self.plan.tables(split.left);
         let q2 = self.plan.tables(split.right);
         for e1 in &left {
-            let skip_to = if use_delta && !e1.fresh { fresh_r } else { 0 };
+            let skip_to = if delta && !e1.fresh { fresh_r } else { 0 };
             for e2 in &right[skip_to..] {
-                if use_delta {
+                if delta {
                     // Δ rule: at least one side inserted this invocation.
                     // Sound without any lookup — a pair involving an entry
                     // appended now cannot have been combined before, and
                     // old×old pairs within bounds were combined in the
-                    // monotone series that made `use_delta` true.
+                    // monotone series that made `delta` true.
                     if !advance {
                         // The rectangle will not cover this pair: record
                         // it for future churn epochs.
@@ -710,11 +711,11 @@ impl IamaOptimizer {
         // reaches the decision threshold: without eager re-indexing the
         // first witness within `alpha` decides; with it, a witness within
         // the *target* factor means the plan is discarded at every
-        // remaining level, so the exact minimum is irrelevant. Both the
-        // batched (struct-of-arrays lane kernels) and the scalar visitor
-        // path visit entries in the same order and compute bit-identical
-        // factors, so the routing decision below never depends on which
-        // one ran.
+        // remaining level, so the exact minimum is irrelevant. The cell
+        // grid runs this search on its struct-of-arrays lane kernels,
+        // bit-identical to the scalar reference
+        // (`moqo_index::dominance_scan_scalar`) that the linear index
+        // runs.
         let mut best_factor = f64::INFINITY;
         if let Some(idx) = self.states[q.index()].res.as_ref() {
             let dom_region = bounds.intersect(&Bounds::new(cost.scaled(alpha)));
@@ -727,18 +728,7 @@ impl IamaOptimizer {
             };
             let accept = &mut |item: PlanId| arena.node(item).props.satisfies(&props);
             let timer = self.config.time_pruning.then(Instant::now);
-            let scan = if self.config.use_batch_kernels {
-                idx.dominance_scan(&dom_region, r as u8, &cost, threshold, accept)
-            } else {
-                moqo_index::dominance_scan_scalar(
-                    idx,
-                    &dom_region,
-                    r as u8,
-                    &cost,
-                    threshold,
-                    accept,
-                )
-            };
+            let scan = idx.dominance_scan(&dom_region, r as u8, &cost, threshold, accept);
             if let Some(t) = timer {
                 self.stats.prune_nanos += t.elapsed().as_nanos() as u64;
             }

@@ -50,7 +50,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MOQOFRNT";
 /// [identity](moqo_costmodel::CostModel::identity) to the model guard,
 /// so a frontier refined under one model can never warm-start a session
 /// under a differently parameterized model with the same metric layout.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 dropped the Δ-filtering flag from the configuration section
+/// (Δ filtering is no longer optional) and retired index-kind tag 2.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be imported.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,15 +114,15 @@ fn index_kind_tag(kind: IndexKind) -> u8 {
     match kind {
         IndexKind::Linear => 0,
         IndexKind::CellGrid => 1,
-        IndexKind::KdTree => 2,
     }
 }
 
+/// Tag 2 named the retired k-d tree kind; like any unknown tag it is
+/// refused, never mapped onto a live kind.
 fn index_kind_from(tag: u8) -> Result<IndexKind> {
     match tag {
         0 => Ok(IndexKind::Linear),
         1 => Ok(IndexKind::CellGrid),
-        2 => Ok(IndexKind::KdTree),
         t => Err(corrupt(format!("unknown index kind {t}"))),
     }
 }
@@ -268,17 +270,15 @@ impl IamaOptimizer {
         // --- Schedule and configuration. ---
         self.schedule.encode(&mut w);
         w.u8(index_kind_tag(self.config.index_kind));
-        w.bool(self.config.use_delta);
         w.bool(self.config.allow_cross_products);
         w.bool(self.config.track_invariants);
         w.bool(self.config.eager_level_skip);
         w.bool(self.config.shadow_dominated);
-        // `use_batch_kernels` and `time_pruning` are deliberately not
-        // serialized: both settings produce byte-identical optimizer
-        // state (the batch kernels are decision-equivalent to the scalar
-        // path, and prune timing is pure diagnostics), so encoding them
-        // would bump SNAPSHOT_VERSION for no observable difference.
-        // Imported optimizers run with the defaults.
+        // `time_pruning` and `max_seeds_per_slice` are deliberately not
+        // serialized: prune timing is pure diagnostics and the seed cap
+        // only paces warm-start admission, so encoding them would bump
+        // SNAPSHOT_VERSION for no observable difference. Imported
+        // optimizers run with the defaults.
 
         // --- Invocation context. ---
         w.u32(self.invocation);
@@ -436,7 +436,6 @@ impl IamaOptimizer {
         let r_max = schedule.r_max();
         let config = IamaConfig {
             index_kind: index_kind_from(r.u8()?)?,
-            use_delta: r.bool()?,
             allow_cross_products: r.bool()?,
             track_invariants: r.bool()?,
             eager_level_skip: r.bool()?,
@@ -1268,6 +1267,44 @@ mod tests {
         ));
         let truncated = &bytes[..bytes.len() - 3];
         assert!(IamaOptimizer::import_frontier(model(), truncated).is_err());
+    }
+
+    #[test]
+    fn import_refuses_version_2_snapshots() {
+        // Version 2 carried a Δ-filtering flag in the configuration
+        // section; its layout no longer parses, so it is refused up front.
+        let mut bytes = warm_optimizer(3).export_frontier();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            IamaOptimizer::import_frontier(model(), &bytes).err(),
+            Some(SnapshotError::UnsupportedVersion(2))
+        );
+    }
+
+    #[test]
+    fn import_refuses_the_retired_index_kind_tag() {
+        // Everything before the index-kind tag is identical for two
+        // exports differing only in the kind, so the first differing
+        // byte is the tag itself.
+        let export = |index_kind| {
+            let spec = Arc::new(testkit::chain_query(2, 5_000));
+            let config = IamaConfig {
+                index_kind,
+                ..IamaConfig::default()
+            };
+            IamaOptimizer::with_config(spec, model(), schedule(), config).export_frontier()
+        };
+        let linear = export(IndexKind::Linear);
+        let mut bytes = export(IndexKind::CellGrid);
+        let at = (0..bytes.len())
+            .find(|&i| bytes[i] != linear[i])
+            .expect("the kinds differ in their tag");
+        assert_eq!((linear[at], bytes[at]), (0, 1));
+        bytes[at] = 2;
+        assert_eq!(
+            IamaOptimizer::import_frontier(model(), &bytes).err(),
+            Some(SnapshotError::Corrupt("unknown index kind 2".into()))
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! entries whose cost vector is dominated by the bounds `b` and whose
 //! resolution tag is at most `r`.
 //!
-//! Three interchangeable implementations are provided behind the
+//! Two interchangeable implementations are provided behind the
 //! [`PlanIndex`] trait:
 //!
 //! * [`LinearIndex`] — per-resolution flat vectors, scanned with a bounds
@@ -16,14 +16,11 @@
 //!   into cells along `floor(log2(1 + cost))` per metric, so a range query
 //!   can accept whole cells without per-entry checks and reject
 //!   out-of-range cells in `O(1)`. Under the paper's uniformity
-//!   assumptions retrieval of `F` entries is `O(F)`.
-//! * [`KdTree`] — a classic k-d tree over the cost metrics, pruning whole
-//!   subtrees during range queries; drains use tombstones with periodic
-//!   compaction.
+//!   assumptions retrieval of `F` entries is `O(F)`. This is the
+//!   optimizer's index; the flat one is the oracle it is tested against.
 //!
 //! The paper's amortized analysis prioritizes retrieval over insertion
-//! time (Section 4.1); the grid and flat structures insert in `O(1)`, the
-//! tree in `O(depth)`.
+//! time (Section 4.1); both structures insert in `O(1)`.
 //!
 //! The crate also provides [`PairSet`], the hash structure behind the
 //! `IsFresh` predicate ensuring no sub-plan pair is combined twice
@@ -35,7 +32,6 @@
 pub mod cellgrid;
 pub mod entry;
 pub mod fxhash;
-pub mod kdtree;
 pub mod linear;
 pub mod pairs;
 pub mod soa;
@@ -43,7 +39,6 @@ pub mod soa;
 pub use cellgrid::CellGrid;
 pub use entry::Entry;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use kdtree::KdTree;
 pub use linear::LinearIndex;
 pub use pairs::PairSet;
 pub use soa::SoaCell;
@@ -167,9 +162,8 @@ impl<'a, T: Copy> EntryBatch<'a, T> {
 /// The scalar reference implementation of [`PlanIndex::dominance_scan`]:
 /// a per-entry visitor scan computing the same minimum with the same
 /// early exits. This is the default for indexes without native lane
-/// storage and the ablation baseline the batched kernels are verified
-/// against (`IamaConfig::use_batch_kernels = false` routes pruning
-/// through this function even on a cell grid).
+/// storage ([`LinearIndex`]) and the reference the cell grid's batched
+/// kernels are property-tested against.
 pub fn dominance_scan_scalar<T, I>(
     index: &I,
     bounds: &Bounds,
@@ -312,16 +306,15 @@ pub trait PlanIndex<T: Copy> {
     }
 }
 
-/// Which index implementation to use (runtime-selectable for the ablation
-/// benchmarks).
+/// Which index implementation to use (runtime-selectable so tests and
+/// `repro ablation-index` can compare the cell grid with the flat
+/// oracle).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexKind {
     /// Flat per-resolution vectors.
     Linear,
     /// Logarithmic cell grid.
     CellGrid,
-    /// k-d tree (cycling split axes, tombstoned drains).
-    KdTree,
 }
 
 /// A [`PlanIndex`] implementation chosen at runtime.
@@ -330,8 +323,6 @@ pub enum DynIndex<T: Copy> {
     Linear(LinearIndex<T>),
     /// Cell-grid variant.
     Grid(CellGrid<T>),
-    /// k-d tree variant.
-    Tree(KdTree<T>),
 }
 
 impl<T: Copy> DynIndex<T> {
@@ -340,7 +331,6 @@ impl<T: Copy> DynIndex<T> {
         match kind {
             IndexKind::Linear => DynIndex::Linear(LinearIndex::new()),
             IndexKind::CellGrid => DynIndex::Grid(CellGrid::new(dim)),
-            IndexKind::KdTree => DynIndex::Tree(KdTree::new(dim)),
         }
     }
 }
@@ -350,7 +340,6 @@ impl<T: Copy> PlanIndex<T> for DynIndex<T> {
         match self {
             DynIndex::Linear(i) => i.insert(entry),
             DynIndex::Grid(i) => i.insert(entry),
-            DynIndex::Tree(i) => i.insert(entry),
         }
     }
 
@@ -363,7 +352,6 @@ impl<T: Copy> PlanIndex<T> for DynIndex<T> {
         match self {
             DynIndex::Linear(i) => i.scan(bounds, max_level, visitor),
             DynIndex::Grid(i) => i.scan(bounds, max_level, visitor),
-            DynIndex::Tree(i) => i.scan(bounds, max_level, visitor),
         }
     }
 
@@ -371,7 +359,6 @@ impl<T: Copy> PlanIndex<T> for DynIndex<T> {
         match self {
             DynIndex::Linear(i) => i.drain(bounds, max_level),
             DynIndex::Grid(i) => i.drain(bounds, max_level),
-            DynIndex::Tree(i) => i.drain(bounds, max_level),
         }
     }
 
@@ -379,7 +366,6 @@ impl<T: Copy> PlanIndex<T> for DynIndex<T> {
         match self {
             DynIndex::Linear(i) => PlanIndex::len(i),
             DynIndex::Grid(i) => PlanIndex::len(i),
-            DynIndex::Tree(i) => PlanIndex::len(i),
         }
     }
 
@@ -392,7 +378,6 @@ impl<T: Copy> PlanIndex<T> for DynIndex<T> {
         match self {
             DynIndex::Linear(i) => i.scan_batch(bounds, max_level, consumer),
             DynIndex::Grid(i) => i.scan_batch(bounds, max_level, consumer),
-            DynIndex::Tree(i) => i.scan_batch(bounds, max_level, consumer),
         }
     }
 
@@ -407,7 +392,6 @@ impl<T: Copy> PlanIndex<T> for DynIndex<T> {
         match self {
             DynIndex::Linear(i) => i.dominance_scan(bounds, max_level, target, threshold, accept),
             DynIndex::Grid(i) => i.dominance_scan(bounds, max_level, target, threshold, accept),
-            DynIndex::Tree(i) => i.dominance_scan(bounds, max_level, target, threshold, accept),
         }
     }
 }
@@ -430,8 +414,8 @@ mod batch_proptests {
         /// The SoA batched scan and the scalar visitor scan accept the
         /// same entry sequence, and the batched witness search reports
         /// the same minimal domination factor bit for bit — across all
-        /// index kinds (Linear/KdTree run the scalar default through
-        /// the batch API, the cell grid runs the lane kernels).
+        /// index kinds (Linear runs the scalar default through the
+        /// batch API, the cell grid runs the lane kernels).
         #[test]
         fn batched_scan_matches_scalar_across_kinds(
             entries in proptest::collection::vec(
@@ -442,7 +426,7 @@ mod batch_proptests {
             threshold in 0.9f64..4.0,
             unbounded in any::<bool>(),
         ) {
-            for kind in [IndexKind::Linear, IndexKind::CellGrid, IndexKind::KdTree] {
+            for kind in [IndexKind::Linear, IndexKind::CellGrid] {
                 let mut idx: DynIndex<u32> = DynIndex::new(kind, 3);
                 for (i, (a, b, c, lvl)) in entries.iter().enumerate() {
                     idx.insert(Entry::new(
@@ -508,7 +492,7 @@ mod dyn_tests {
 
     #[test]
     fn dyn_index_dispatches_both_kinds() {
-        for kind in [IndexKind::Linear, IndexKind::CellGrid, IndexKind::KdTree] {
+        for kind in [IndexKind::Linear, IndexKind::CellGrid] {
             let mut idx: DynIndex<u32> = DynIndex::new(kind, 2);
             idx.insert(Entry::new(7, CostVector::new(&[1.0, 2.0]), 0, 0));
             idx.insert(Entry::new(8, CostVector::new(&[5.0, 5.0]), 1, 0));

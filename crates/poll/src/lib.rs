@@ -167,13 +167,23 @@ impl Reactor {
         self.poll.poll(events, timeout)?;
         let woken = events.iter().any(|e| e.token() == WAKE_TOKEN);
         if woken {
-            // Reset the latch *before* draining: a wake that lands in
-            // between sets the latch and writes a fresh byte, so the
-            // next poll still returns promptly.
-            self.wake_pending.store(false, Ordering::SeqCst);
-            self.waker.clear();
+            self.consume_wake(|| {});
         }
         Ok(woken)
+    }
+
+    /// Drains the wake pipe, then re-arms the latch; `between` runs
+    /// between the two steps (a no-op outside tests). The order matters.
+    /// A wake landing after the drain finds the latch still set and
+    /// skips its write, which loses nothing: the caller handles its wake
+    /// queue after `poll` returns and sees that wake's work. Re-arming
+    /// first would let such a wake write a byte that the drain then
+    /// swallows, leaving the latch set over an empty pipe, so every
+    /// later wake would skip its write and never be seen.
+    fn consume_wake(&self, between: impl FnOnce()) {
+        self.waker.clear();
+        between();
+        self.wake_pending.store(false, Ordering::SeqCst);
     }
 }
 
@@ -286,6 +296,25 @@ mod tests {
                 .poll(&mut events, Some(Duration::from_secs(5)))
                 .unwrap();
             assert!(woken, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn a_wake_racing_the_drain_is_not_lost() {
+        // Replays the interleaving that used to hang the net front: a
+        // wake lands while `poll` consumes the previous one. Afterwards
+        // the latch must be re-armed, so the next wake reaches the pipe.
+        for backend in backends() {
+            let reactor = Reactor::with_backend(backend).unwrap();
+            let handle = reactor.wake_handle();
+            handle.wake();
+            reactor.consume_wake(|| handle.wake());
+            handle.wake();
+            let mut events = Events::new();
+            let woken = reactor
+                .poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert!(woken, "{backend:?}: the wake after the race was lost");
         }
     }
 

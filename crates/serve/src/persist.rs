@@ -406,6 +406,35 @@ mod tests {
     }
 
     #[test]
+    fn version_skewed_files_are_skipped_and_restore_goes_on() {
+        let dir = temp_dir("skew");
+        let store = SnapshotStore::new(&dir);
+        let specs = [2, 3].map(|n| Arc::new(testkit::chain_query(n, 41_000)));
+        {
+            let e = engine(2);
+            let ids: Vec<_> = specs.iter().map(|s| e.submit(s.clone()).0).collect();
+            assert!(e.wait_idle(IDLE));
+            for id in ids {
+                e.finish(id).unwrap();
+            }
+            assert_eq!(store.save(&e).unwrap().written, 2);
+        }
+        // Rewrite one file as a version-2 snapshot (the layout that still
+        // carried the Δ-filtering flag).
+        let old = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let mut bytes = fs::read(&old).unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        fs::write(&old, &bytes).unwrap();
+
+        let report = store.restore(&engine(2)).unwrap();
+        assert_eq!(report.restored, 1, "{report}");
+        assert_eq!(report.skipped.len(), 1, "{report}");
+        assert_eq!(report.skipped[0].0, old);
+        assert!(report.skipped[0].1.contains("version 2"), "{report}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn unchanged_frontiers_skip_the_rewrite() {
         let dir = temp_dir("dirty");
         let store = SnapshotStore::new(&dir);

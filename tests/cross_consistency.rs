@@ -266,66 +266,3 @@ fn metric_subsets_agree_on_shared_extremes() {
         "min-time mismatch: {t2} (2 metrics) vs {t3} (3 metrics)"
     );
 }
-
-#[test]
-fn batched_and_scalar_pruning_produce_bit_identical_frontiers() {
-    // The struct-of-arrays lane kernels behind `use_batch_kernels` are a
-    // pure speed knob: across a full refine ladder, a mid-session bound
-    // drag, and a second ladder, every intermediate frontier must agree
-    // byte for byte with the scalar visitor path — on every index kind
-    // (the kinds without a batched override exercise the default
-    // one-row-batch adapters).
-    use moqo::core::IamaConfig;
-    use moqo::index::IndexKind;
-
-    let spec = testkit::star_query(4, 250_000);
-    let model = model();
-    let schedule = ResolutionSchedule::linear(4, 1.05, 0.5);
-    for kind in [IndexKind::CellGrid, IndexKind::Linear, IndexKind::KdTree] {
-        let mut opts: Vec<IamaOptimizer> = [true, false]
-            .iter()
-            .map(|&batch| {
-                IamaOptimizer::with_config(
-                    Arc::new(spec.clone()),
-                    Arc::new(model.clone()),
-                    schedule.clone(),
-                    IamaConfig {
-                        index_kind: kind,
-                        use_batch_kernels: batch,
-                        ..IamaConfig::default()
-                    },
-                )
-            })
-            .collect();
-        let unbounded = Bounds::unbounded(model.dim());
-        let check = |opts: &mut Vec<IamaOptimizer>, bounds: &Bounds, r: usize, step: &str| {
-            let frontiers: Vec<_> = opts
-                .iter_mut()
-                .map(|o| {
-                    o.optimize(bounds, r);
-                    o.frontier(bounds, r)
-                })
-                .collect();
-            assert!(
-                frontiers[0].bits_eq(&frontiers[1]),
-                "{kind:?}/{step}/r={r}: batched and scalar frontiers differ \
-                 ({} vs {} points)",
-                frontiers[0].len(),
-                frontiers[1].len()
-            );
-            frontiers.into_iter().next().unwrap()
-        };
-        let mut last = None;
-        for r in 0..=schedule.r_max() {
-            last = Some(check(&mut opts, &unbounded, r, "ladder"));
-        }
-        // Drag the time bound to the frontier's median and refine again.
-        let costs = last.expect("non-empty ladder").costs();
-        let mut ts: Vec<f64> = costs.iter().map(|c| c[0]).collect();
-        ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let bound = Bounds::unbounded(model.dim()).with_limit(0, ts[ts.len() / 2]);
-        for r in 0..=schedule.r_max() {
-            check(&mut opts, &bound, r, "dragged");
-        }
-    }
-}

@@ -66,7 +66,9 @@ fn theorem2_on_tpch_small_blocks() {
 #[test]
 fn theorem2_holds_without_shadowing_and_without_delta() {
     // The guarantee must hold in strict paper mode too (no shadowing, no
-    // eager level skip) and with delta filtering disabled.
+    // eager level skip). Without Δ filtering — the churn arm every
+    // non-monotone invocation takes — it is checked by
+    // `bounded_guarantee_after_bound_changes`.
     let model = small_model();
     let schedule = ResolutionSchedule::linear(3, 1.08, 0.6);
     let spec = testkit::chain_query(4, 120_000);
@@ -76,10 +78,6 @@ fn theorem2_holds_without_shadowing_and_without_delta() {
         IamaConfig {
             shadow_dominated: false,
             eager_level_skip: false,
-            ..IamaConfig::default()
-        },
-        IamaConfig {
-            use_delta: false,
             ..IamaConfig::default()
         },
         IamaConfig {
@@ -131,6 +129,8 @@ fn bounded_guarantee_after_bound_changes() {
         Arc::new(model.clone()),
         schedule.clone(),
     );
+    // Invocations that took the churn arm (no Δ filtering).
+    let mut churn_invocations = 0;
     // Tight phase.
     opt.optimize(&unb, 0);
     let t_min = opt
@@ -140,7 +140,7 @@ fn bounded_guarantee_after_bound_changes() {
         .unwrap();
     let tight = Bounds::unbounded(dim).with_limit(0, t_min * 2.0);
     for r in 0..=schedule.r_max() {
-        opt.optimize(&tight, r);
+        churn_invocations += usize::from(!opt.optimize(&tight, r).used_delta);
     }
     let alpha = schedule.guarantee(schedule.r_max(), spec.n_tables());
     let frontier_tight = opt.frontier(&tight, schedule.r_max()).costs();
@@ -150,13 +150,21 @@ fn bounded_guarantee_after_bound_changes() {
     );
     // Loosen again: candidates stored as out-of-bounds must resurface.
     for r in 0..=schedule.r_max() {
-        opt.optimize(&unb, r);
+        churn_invocations += usize::from(!opt.optimize(&unb, r).used_delta);
     }
     let frontier_unb = opt.frontier(&unb, schedule.r_max()).costs();
     let factor = coverage_factor(&frontier_unb, &exact_costs);
     assert!(
         factor <= alpha + 1e-9,
         "after re-loosening: {factor} > {alpha}"
+    );
+    // The bound changes drove the churn arm, and it settled repeat pairs
+    // instead of recombining them.
+    assert!(churn_invocations > 0, "no invocation took the churn arm");
+    let stats = opt.stats();
+    assert!(
+        stats.pairs_skipped_watermark + stats.stale_pairs_skipped > 0,
+        "the churn arm settled no repeat pair"
     );
 }
 

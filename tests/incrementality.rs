@@ -77,8 +77,9 @@ fn lemmas_hold_under_chaotic_bound_changes() {
         (unb, 4),
         (unb, 4),
     ];
+    let mut churn_invocations = 0;
     for (bounds, r) in scenarios {
-        opt.optimize(&bounds, r);
+        churn_invocations += usize::from(!opt.optimize(&bounds, r).used_delta);
     }
     let stats = opt.stats();
     assert!(
@@ -92,6 +93,13 @@ fn lemmas_hold_under_chaotic_bound_changes() {
     assert!(
         stats.max_candidate_retrievals() as usize <= schedule.r_max() + 1,
         "Lemma 7 under bound churn"
+    );
+    // The churn arm (no Δ filtering) ran, and it settled repeat pairs —
+    // by watermark rectangle or `IsFresh` hash — instead of recombining.
+    assert!(churn_invocations > 0, "no invocation took the churn arm");
+    assert!(
+        stats.pairs_skipped_watermark + stats.stale_pairs_skipped > 0,
+        "the churn arm settled no repeat pair"
     );
 }
 
@@ -173,7 +181,7 @@ fn index_kinds_produce_equivalent_frontiers() {
     let spec = testkit::random_query(5, 42);
     let b = Bounds::unbounded(model.dim());
     let mut frontiers = Vec::new();
-    for kind in [IndexKind::CellGrid, IndexKind::Linear, IndexKind::KdTree] {
+    for kind in [IndexKind::CellGrid, IndexKind::Linear] {
         let mut opt = IamaOptimizer::with_config(
             Arc::new(spec.clone()),
             model.clone(),
@@ -201,41 +209,6 @@ fn index_kinds_produce_equivalent_frontiers() {
             );
         }
     }
-}
-
-#[test]
-fn delta_filtering_does_not_change_results() {
-    let model = model();
-    let schedule = ResolutionSchedule::linear(4, 1.05, 0.5);
-    let spec = testkit::star_query(4, 300_000);
-    let b = Bounds::unbounded(model.dim());
-    let mut frontiers = Vec::new();
-    for use_delta in [true, false] {
-        let mut opt = IamaOptimizer::with_config(
-            Arc::new(spec.clone()),
-            model.clone(),
-            schedule.clone(),
-            IamaConfig {
-                use_delta,
-                ..IamaConfig::default()
-            },
-        );
-        for r in 0..=schedule.r_max() {
-            opt.optimize(&b, r);
-        }
-        let mut costs: Vec<Vec<u64>> = opt
-            .frontier(&b, schedule.r_max())
-            .costs()
-            .iter()
-            .map(|c| c.as_slice().iter().map(|v| v.to_bits()).collect())
-            .collect();
-        costs.sort();
-        frontiers.push(costs);
-    }
-    assert_eq!(
-        frontiers[0], frontiers[1],
-        "delta filtering changed results"
-    );
 }
 
 #[test]
