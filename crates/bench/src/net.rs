@@ -95,7 +95,6 @@ pub fn net_serving_experiment(fast: bool) -> ExperimentReport {
                         workers: 2,
                         ..EngineConfig::default()
                     },
-                    rebalance_headroom: 8,
                 },
                 admission: AdmissionConfig::default(),
                 retired_tickets: 4096,

@@ -69,9 +69,11 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     let connections = requested.min(usable).max(1);
 
     let model: moqo_costmodel::SharedCostModel = Arc::new(StandardCostModel::paper_metrics());
+    let schedule = ResolutionSchedule::linear(1, 1.1, 0.5);
+    let levels = schedule.levels() as u64;
     let server = Arc::new(MoqoServer::new(
         model.clone(),
-        ResolutionSchedule::linear(1, 1.1, 0.5),
+        schedule,
         ServeConfig {
             shard: ShardConfig {
                 shards: 2,
@@ -79,7 +81,6 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
                     workers: 2,
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 8,
             },
             admission: AdmissionConfig {
                 max_live: connections + 16,
@@ -151,36 +152,36 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
         }
     }
 
-    // Quiesce every stream exactly: the engine is idle, so the server's
-    // view epoch per ticket is final — recv until the client has caught
-    // up. Without this, frames still in flight would turn the bulk drop
-    // below into TCP resets (counted as faults) instead of orderly EOFs.
+    // Quiesce every stream exactly: the engine is idle, so every session
+    // ran its whole ladder, one event per invocation — recv until the
+    // client has seen the last one. (Polling the ticket in-process here
+    // would steal events the front has not forwarded yet, leaving the
+    // client waiting forever.) Without this, frames still in flight would
+    // turn the bulk drop below into TCP resets (counted as faults)
+    // instead of orderly EOFs.
     for client in &mut clients {
-        let ticket = moqo_serve::Ticket::from_u64(client.server_ticket().expect("admitted"));
-        let target = match net.moqo().poll(ticket) {
-            Some(moqo_serve::TicketStatus::Active { view, .. }) => view.epoch,
-            other => panic!("held session not active: {other:?}"),
-        };
-        while client.view().epoch < target {
+        while client.view().invocations < levels {
             client.recv(IDLE).expect("healthy stream");
         }
     }
 
     let (rss_held_kb, threads_held) = proc_status();
-    let held = net.stats();
+    let live_held = net.moqo().stats().live;
 
     // Hold the fleet idle: nothing polls, nothing spins — the loop thread
     // blocks in the reactor the whole time.
     let hold_ms: u64 = if fast { 150 } else { 500 };
     std::thread::sleep(Duration::from_millis(hold_ms));
-    let after_hold = net.stats();
+    let live_after_hold = net.moqo().stats().live;
 
     // Drop all N clients at once: every live session takes the
-    // disconnect-park path and the fleet drains to zero.
+    // disconnect-park path and the fleet drains to zero. The front counts
+    // a park only after the engine released the session, so wait for the
+    // count too, not just for `live` to reach zero.
     let t_drain = Instant::now();
     drop(clients);
     let drain_deadline = Instant::now() + IDLE;
-    while net.stats().live != 0 {
+    while net.moqo().stats().live != 0 || net.stats().disconnect_parked < connections as u64 {
         assert!(Instant::now() < drain_deadline, "fleet did not drain");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -207,8 +208,8 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     );
     trial.int("threads_before", threads_before);
     trial.int("threads_held", threads_held);
-    trial.int("live_held", held.live);
-    trial.int("live_after_hold", after_hold.live);
+    trial.int("live_held", live_held as u64);
+    trial.int("live_after_hold", live_after_hold as u64);
     trial.int("hold_ms", hold_ms);
     trial.int_lower("faulted", end.faulted);
     trial.int_lower("stalled", end.stalled);

@@ -158,7 +158,6 @@ fn run_policy(fast: bool, policy: AdmissionPolicy, policy_label: &str, trial: &m
                     workers: 2,
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 8,
             },
             admission: AdmissionConfig {
                 max_live: MAX_LIVE,

@@ -140,7 +140,6 @@ pub fn serving_experiment(fast: bool) -> ExperimentReport {
                     workers: 2,
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 8,
             },
         );
         let specs = serving_workload(fast);

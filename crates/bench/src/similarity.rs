@@ -15,8 +15,8 @@
 //!
 //! Four phases over identical recipient shapes — `cold`, `exact-warm`,
 //! `transplant`, `rebase` — each recording submit→first-frontier latency
-//! and the total plans generated per session (summed over the per-slice
-//! invocation reports of its watch stream, so each phase counts only its
+//! and the total plans generated per session (summed over the invocation
+//! reports of its watch stream, so each phase counts only its
 //! own work even when optimizer state carries across phases).
 
 use moqo_cost::ResolutionSchedule;
@@ -40,7 +40,6 @@ fn engine(fast: bool) -> ShardedEngine {
                 workers: 2,
                 ..EngineConfig::default()
             },
-            rebalance_headroom: 8,
         },
     )
 }

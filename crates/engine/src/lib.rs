@@ -8,9 +8,10 @@
 //! [session protocol](moqo_core::protocol) unchanged:
 //!
 //! * [`SessionManager`] — owns concurrent interactive sessions keyed by
-//!   [`SessionId`], advances them on a worker pool with round-robin,
-//!   budgeted time slices (each tick is one incremental `optimize`
-//!   invocation), and routes [`SessionCommand`]s into the right session.
+//!   [`SessionId`], advances them round-robin on a worker pool — one
+//!   incremental `optimize` invocation and one published event per
+//!   checkout, as in Algorithm 1 — and routes [`SessionCommand`]s into the
+//!   right session.
 //!   Sessions open from a [`SessionRequest`], which may carry per-session
 //!   bounds, a schedule override, an auto-select
 //!   [`Preference`](moqo_core::Preference), and a per-session **cost

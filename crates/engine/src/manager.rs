@@ -12,13 +12,14 @@
 //! model**), clients steer them with [`SessionCommand`]s routed into
 //! per-session inboxes, and [`SessionManager::watch`] streams
 //! [`SessionEvent`]s whose [`FrontierDelta`]s reassemble — exactly — to
-//! the full frontier, instead of re-shipping it after every slice.
+//! the full frontier, instead of re-shipping it after every invocation.
 //!
-//! Scheduling is round-robin with budgeted time slices: a worker checks a
-//! session out of the shared map, runs at most
-//! [`EngineConfig::ticks_per_slice`] anytime invocations (each tick is one
-//! `optimize(bounds, r)` call, so the *incrementality* of IAMA — not the
-//! scheduler — keeps slices short), then requeues the session at the back.
+//! Scheduling is round-robin, one invocation per checkout — Algorithm 1's
+//! loop body: a worker checks a session out of the shared map, applies
+//! one command (a user's, or an automatic `Refine`), i.e. one
+//! `optimize(bounds, r)` call, publishes that event, then requeues the
+//! session at the back. The *incrementality* of IAMA — not the
+//! scheduler — keeps each checkout short.
 //!
 //! Finished sessions park their optimizer in the [`FrontierCache`] keyed
 //! by canonical [`QueryFingerprint`] — which embeds the cost model's
@@ -50,6 +51,11 @@ use std::time::{Duration, Instant};
 /// Identifier of one interactive session within a [`SessionManager`].
 pub type SessionId = u64;
 
+/// Finished sessions whose final [`SessionStatus`] stays queryable after
+/// their optimizer moved to the cache; the oldest beyond this many are
+/// dropped so a long-lived manager's memory stays bounded.
+const RETIRED_CAPACITY: usize = 256;
+
 /// Tunables of the serving layer.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -57,23 +63,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Parked optimizers kept in the warm-frontier cache.
     pub cache_capacity: usize,
-    /// Anytime invocations a session may run without user input before it
-    /// parks. `0` means "derive from the schedule": one full resolution
-    /// ladder (`r_max + 1` invocations).
-    pub auto_ticks: usize,
-    /// Invocations a worker runs for one session per checkout before
-    /// requeueing it (round-robin fairness knob).
-    pub ticks_per_slice: usize,
-    /// Wall-clock budget per checkout; the slice ends early once spent.
-    pub slice_budget: Duration,
-    /// Finished sessions whose final [`SessionStatus`] stays queryable
-    /// after their optimizer moved to the cache; the oldest beyond this
-    /// many are dropped so a long-lived manager's memory stays bounded.
-    pub retired_capacity: usize,
-    /// Harvested per-subset sub-frontier blobs kept for transplanting
-    /// into similar (not identical) queries; see
-    /// [`crate::SubFrontierCache`].
-    pub subfrontier_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -83,16 +72,11 @@ impl Default for EngineConfig {
                 .map(|n| n.get().min(4))
                 .unwrap_or(2),
             cache_capacity: 64,
-            auto_ticks: 0,
-            ticks_per_slice: 1,
-            slice_budget: Duration::from_millis(100),
-            retired_capacity: 256,
-            subfrontier_capacity: 1024,
         }
     }
 }
 
-/// Read-only snapshot of one session, refreshed after every slice.
+/// Read-only snapshot of one session, refreshed after every invocation.
 #[derive(Clone, Debug)]
 pub struct SessionStatus {
     /// The session's id.
@@ -185,10 +169,10 @@ struct Slot {
     status: SessionStatus,
     queued: bool,
     /// Commands that arrived while a worker held the session; merged into
-    /// the session's inbox when the slice checks back in.
+    /// the session's inbox when the worker checks it back in.
     late_inbox: VecDeque<SessionCommand>,
     /// Per-watcher push channels: every published [`SessionEvent`]
-    /// (after a slice, on retirement, on `finish`) is cloned into each
+    /// (after an invocation, on retirement, on `finish`) is cloned into each
     /// live watcher so callers can `recv` on their own channel instead of
     /// parking on the engine's internal condvar. Disconnected watchers
     /// are pruned on the next send.
@@ -217,7 +201,7 @@ struct EngineState {
     /// control and shard routing).
     live: usize,
     /// Retired sessions in retirement order, oldest first; trimmed to
-    /// `EngineConfig::retired_capacity` so `slots` stays bounded.
+    /// [`RETIRED_CAPACITY`] so `slots` stays bounded.
     retired: VecDeque<SessionId>,
 }
 
@@ -234,15 +218,15 @@ struct Shared {
     state: Mutex<EngineState>,
     /// Signals workers that the run queue may be non-empty.
     work: Condvar,
-    /// Signals waiters that a slice finished (idle / finish conditions).
+    /// Signals waiters that a checkout ended (idle / finish conditions).
     settled: Condvar,
     shutdown: AtomicBool,
     /// See [`EventHook`]; `None` until a serving front installs one.
     event_hook: Mutex<Option<EventHook>>,
     /// Harvested per-subset warm state, probed on cold opens. Internally
-    /// locked (never under the state lock order issues: workers touch it
-    /// *outside* the state lock, `open`/`finish` take state → sub-frontier
-    /// in that order only).
+    /// locked: `open` probes it under the state lock (state → sub-frontier
+    /// in that order only); workers, `finish` and `park` harvest into it
+    /// *outside* the state lock.
     subfrontiers: Arc<SubFrontierCache>,
 }
 
@@ -258,7 +242,6 @@ pub struct SessionManager {
     workers: Vec<JoinHandle<()>>,
     model: SharedCostModel,
     schedule: ResolutionSchedule,
-    auto_ticks: usize,
     /// Enumeration plans shared across sessions, keyed by join-graph
     /// shape: structurally similar queries (same shape, any statistics,
     /// any cost model) reuse one plan even when their frontiers cannot be
@@ -269,7 +252,7 @@ pub struct SessionManager {
 impl SessionManager {
     /// Starts the worker pool with a private sub-frontier cache.
     pub fn new(model: SharedCostModel, schedule: ResolutionSchedule, config: EngineConfig) -> Self {
-        let subfrontiers = Arc::new(SubFrontierCache::new(config.subfrontier_capacity));
+        let subfrontiers = Arc::new(SubFrontierCache::default());
         Self::with_subfrontiers(model, schedule, config, subfrontiers)
     }
 
@@ -283,11 +266,6 @@ impl SessionManager {
         config: EngineConfig,
         subfrontiers: Arc<SubFrontierCache>,
     ) -> Self {
-        let auto_ticks = if config.auto_ticks == 0 {
-            schedule.levels()
-        } else {
-            config.auto_ticks
-        };
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
                 slots: HashMap::new(),
@@ -307,10 +285,9 @@ impl SessionManager {
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let cfg = config.clone();
                 thread::Builder::new()
                     .name(format!("moqo-engine-{i}"))
-                    .spawn(move || worker_loop(shared, cfg))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn engine worker")
             })
             .collect();
@@ -319,7 +296,6 @@ impl SessionManager {
             workers,
             model,
             schedule,
-            auto_ticks,
             plans: PlanCache::new(),
         }
     }
@@ -421,11 +397,13 @@ impl SessionManager {
                 (opt, false, overridden, rebased, seeded)
             }
         };
+        // One full resolution ladder (`r_max + 1` invocations) unless the
+        // request sets its own refinement budget.
         let auto_ticks = request
             .auto_ticks
             .unwrap_or_else(|| match (&request.schedule, warm) {
                 (Some(s), false) => s.levels(),
-                _ => self.auto_ticks,
+                _ => self.schedule.levels(),
             });
         let mut session = Session::with_bounds(optimizer, bounds);
         session
@@ -480,7 +458,7 @@ impl SessionManager {
     /// it never reaches (let alone crashes) a worker. `Ok` means the
     /// command was accepted for delivery, not that it will be acted on:
     /// a command racing with the session's own completion (the user's
-    /// earlier `SelectPlan` lands in the same slice) is discarded with
+    /// earlier `SelectPlan` is applied first) is discarded with
     /// the rest of the inbox, exactly as if it had arrived a moment
     /// later.
     pub fn command(&self, id: SessionId, command: SessionCommand) -> Result<(), ProtocolError> {
@@ -548,23 +526,38 @@ impl SessionManager {
     /// [`SessionOutcome::Retired`] outcome (unless the session already
     /// ended).
     pub fn finish(&self, id: SessionId) -> Option<SessionStatus> {
+        // Check the session out the way a worker does, so the harvest
+        // below (one blob encode per multi-table subset) runs with the
+        // state lock released.
         let mut state = self.lock();
-        loop {
-            let running = match state.slots.get(&id) {
-                None => return None,
-                Some(slot) => matches!(slot.cell, Cell::Running),
-            };
-            if !running {
-                break;
+        let active = loop {
+            let slot = state.slots.get_mut(&id)?;
+            match std::mem::replace(&mut slot.cell, Cell::Running) {
+                Cell::Running => state = self.shared.settled.wait(state).expect("engine lock"),
+                Cell::Idle(active) => break Some(active),
+                Cell::Retired => {
+                    slot.cell = Cell::Retired;
+                    break None;
+                }
             }
-            state = self.shared.settled.wait(state).expect("engine lock");
-        }
-        let mut slot = state.slots.remove(&id).expect("checked above");
-        if let Cell::Idle(active) = std::mem::replace(&mut slot.cell, Cell::Retired) {
-            let fp = slot.status.fingerprint;
+        };
+        let mut parked = None;
+        if let Some(active) = active {
+            state.running += 1;
+            drop(state);
             let optimizer = active.session.into_optimizer();
             harvest_subfrontiers(&self.shared.subfrontiers, &optimizer);
-            state.cache.put(fp, optimizer);
+            state = self.lock();
+            state.running -= 1;
+            parked = Some(optimizer);
+        }
+        // Park and publish in one critical section, as a worker check-in
+        // does. The slot is still in the map: either the lock was held
+        // throughout, or the slot was checked out (`Running`), which no
+        // other path removes.
+        let mut slot = state.slots.remove(&id).expect("checked out above");
+        if let Some(optimizer) = parked {
+            state.cache.put(slot.status.fingerprint, optimizer);
         }
         if slot.status.outcome.is_none() {
             slot.status.outcome = Some(SessionOutcome::Retired);
@@ -573,6 +566,7 @@ impl SessionManager {
         let event = terminal_event(&slot.status);
         slot.publish(event);
         fire_event_hook(&self.shared, id);
+        self.shared.settled.notify_all();
         Some(slot.status)
     }
 
@@ -586,13 +580,13 @@ impl SessionManager {
     /// Subscribes to a session's event stream.
     ///
     /// Returns a channel that receives one [`SessionEvent`] per completed
-    /// slice (and a final one when the session finishes). The stream is
+    /// invocation (and a final one when the session finishes). The stream is
     /// primed immediately with a reset-delta event carrying the current
     /// full frontier, so the first `recv` never blocks on optimizer
     /// progress and a [`moqo_core::SessionView`] folded over the stream
     /// reassembles the exact server-side frontier. Returns `None` for
     /// unknown sessions. Receivers that fall behind simply buffer (the
-    /// channel is unbounded but updates are slice-paced); dropped
+    /// channel is unbounded but updates are invocation-paced); dropped
     /// receivers are pruned on the next update.
     ///
     /// This is the non-blocking alternative to
@@ -811,7 +805,7 @@ fn enqueue(state: &mut EngineState, id: SessionId) {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
+fn worker_loop(shared: Arc<Shared>) {
     let mut state = shared.state.lock().expect("engine lock poisoned");
     loop {
         // Find the next checked-in session with work.
@@ -831,7 +825,7 @@ fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
                     match std::mem::replace(&mut slot.cell, Cell::Running) {
                         Cell::Idle(active) => break (id, active),
                         // Running entries do appear here: command()
-                        // enqueues a mid-slice session so its new command
+                        // enqueues a checked-out session so its new command
                         // is re-checked after check-in (which requeues it
                         // anyway, making this pop redundant). Retired
                         // sessions stay retired. Either way the entry is
@@ -850,56 +844,29 @@ fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
         state.running += 1;
         drop(state);
 
-        // --- Run one budgeted slice outside the lock. ---
-        let slice_start = Instant::now();
-        let mut ticks = 0usize;
-        let mut outcome: Option<SessionOutcome> = None;
-        let mut first_report: Option<InvocationReport> = None;
-        let mut last_report: Option<InvocationReport> = None;
-        let mut invocations = 0u64;
-        // Per-invocation deltas compose into the slice's published delta
-        // (their base is the frontier at slice start, which is exactly
-        // the last published `status.frontier`).
-        let mut slice_delta = FrontierDelta::default();
-        while outcome.is_none() {
-            let command = match active.inbox.pop_front() {
-                Some(cmd) => {
-                    if matches!(cmd, SessionCommand::SetBounds(_)) {
-                        // A user refocusing their bounds re-arms the
-                        // refinement budget (Algorithm 1 keeps iterating
-                        // after bound changes).
-                        active.remaining_ticks = active.auto_ticks;
-                    }
-                    cmd
+        // --- Run one invocation outside the lock. ---
+        let command = match active.inbox.pop_front() {
+            Some(cmd) => {
+                if matches!(cmd, SessionCommand::SetBounds(_)) {
+                    // A user refocusing their bounds re-arms the
+                    // refinement budget (Algorithm 1 keeps iterating
+                    // after bound changes).
+                    active.remaining_ticks = active.auto_ticks;
                 }
-                None if active.remaining_ticks > 0 => {
-                    active.remaining_ticks -= 1;
-                    SessionCommand::Refine
-                }
-                None => break,
-            };
-            // A protocol fault on a live session (a dimension mismatch
-            // that slipped past command() — impossible today, but
-            // commands are data and workers must never die on data)
-            // drops the command and keeps the session.
-            if let Ok(event) = active.session.apply(command) {
-                if let Some(report) = event.report {
-                    invocations += 1;
-                    if first_report.is_none() {
-                        first_report = Some(report.clone());
-                    }
-                    last_report = Some(report);
-                }
-                if event.outcome.is_some() {
-                    outcome = event.outcome;
-                }
-                slice_delta = slice_delta.then(&event.delta);
+                Some(cmd)
             }
-            ticks += 1;
-            if ticks >= cfg.ticks_per_slice.max(1) || slice_start.elapsed() >= cfg.slice_budget {
-                break;
+            None if active.remaining_ticks > 0 => {
+                active.remaining_ticks -= 1;
+                Some(SessionCommand::Refine)
             }
-        }
+            None => None,
+        };
+        // A protocol fault on a live session (a dimension mismatch that
+        // slipped past command() — impossible today, but commands are
+        // data and workers must never die on data) drops the command and
+        // keeps the session.
+        let event = command.and_then(|cmd| active.session.apply(cmd).ok());
+        let outcome = event.as_ref().and_then(|e| e.outcome);
 
         // A session that just ended is about to park; harvest its
         // per-subset frontiers while the worker still owns it exclusively,
@@ -912,84 +879,60 @@ fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
         state = shared.state.lock().expect("engine lock poisoned");
         state.running -= 1;
         let st: &mut EngineState = &mut state;
-        let mut requeue = false;
-        let mut retire = false;
-        let mut published = false;
-        let mut park: Option<(QueryFingerprint, IamaOptimizer)> = None;
-        match st.slots.get_mut(&id) {
-            // finish() cannot remove a Running slot, so this is
-            // unreachable; tolerate it anyway rather than poisoning the
-            // pool.
-            None => {}
-            Some(slot) => {
-                let status = &mut slot.status;
-                status.invocations += invocations;
-                status.resolution = active.session.resolution();
-                status.bounds = *active.session.bounds();
-                let covered_first = invocations > 0 && status.first_report.is_none();
-                if covered_first {
-                    status.first_report = first_report.clone();
-                }
-                if last_report.is_some() {
-                    status.last_report = last_report.clone();
-                }
-                // The composed slice delta advances the published
-                // snapshot in place — no full-frontier diff or clone.
-                slice_delta.apply(&mut status.frontier);
-                debug_assert!(
-                    status.frontier.bits_eq(active.session.frontier()),
-                    "slice delta diverged from the session frontier"
-                );
-                // Commands that arrived while the slice ran.
-                active.inbox.append(&mut slot.late_inbox);
-                if let Some(out) = outcome {
-                    status.outcome = Some(out);
-                    slot.cell = Cell::Retired;
-                    retire = true;
-                    park = Some((status.fingerprint, active.session.into_optimizer()));
-                } else {
-                    requeue = active.has_work();
-                    slot.cell = Cell::Idle(active);
-                }
-                if invocations > 0 || retire {
-                    let event = SessionEvent {
-                        epoch: slot.status.epoch + 1,
-                        delta: slice_delta,
-                        resolution: slot.status.resolution,
-                        bounds: slot.status.bounds,
-                        invocations: slot.status.invocations,
-                        report: last_report,
-                        first_report: if covered_first { first_report } else { None },
-                        outcome: slot.status.outcome,
-                        coalesced: 0,
-                    };
-                    slot.publish(event);
-                    published = true;
-                }
-                if retire {
-                    // Final update delivered above; release the channels.
-                    slot.watchers.clear();
-                }
+        // finish() cannot remove a Running slot, so this is unreachable;
+        // tolerate it anyway rather than poisoning the pool.
+        let Some(slot) = st.slots.get_mut(&id) else {
+            shared.settled.notify_all();
+            continue;
+        };
+        // Commands that arrived while the invocation ran.
+        active.inbox.append(&mut slot.late_inbox);
+        let published = event.is_some();
+        if let Some(mut event) = event {
+            // The stream counts the engine's publishes (the terminal event
+            // of `finish` included), not the session's own applies.
+            event.epoch = slot.status.epoch + 1;
+            let status = &mut slot.status;
+            status.invocations = event.invocations;
+            status.resolution = event.resolution;
+            status.bounds = event.bounds;
+            status.outcome = event.outcome;
+            if event.first_report.is_some() {
+                status.first_report = event.first_report.clone();
             }
+            if event.report.is_some() {
+                status.last_report = event.report.clone();
+            }
+            // The event's delta advances the published snapshot in place
+            // — no full-frontier diff or clone.
+            event.delta.apply(&mut status.frontier);
+            debug_assert!(
+                status.frontier.bits_eq(active.session.frontier()),
+                "event delta diverged from the session frontier"
+            );
+            slot.publish(event);
         }
-        if retire {
+        if outcome.is_some() {
+            // Final update delivered above; release the channels.
+            slot.watchers.clear();
+            slot.cell = Cell::Retired;
+            let fp = slot.status.fingerprint;
             st.live = st.live.saturating_sub(1);
-        }
-        if let Some((fp, optimizer)) = park {
-            st.cache.put(fp, optimizer);
-        }
-        if retire {
+            st.cache.put(fp, active.session.into_optimizer());
             // Keep the final status queryable, but bound the history.
             st.retired.push_back(id);
-            while st.retired.len() > cfg.retired_capacity.max(1) {
+            while st.retired.len() > RETIRED_CAPACITY {
                 if let Some(old) = st.retired.pop_front() {
                     st.slots.remove(&old);
                 }
             }
-        }
-        if requeue {
-            enqueue(st, id);
-            shared.work.notify_one();
+        } else {
+            let requeue = active.has_work();
+            slot.cell = Cell::Idle(active);
+            if requeue {
+                enqueue(st, id);
+                shared.work.notify_one();
+            }
         }
         if published {
             fire_event_hook(&shared, id);

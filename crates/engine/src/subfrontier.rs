@@ -20,6 +20,10 @@ use crate::fingerprint::SubsetFingerprint;
 use moqo_index::FxHashMap;
 use std::sync::{Arc, Mutex};
 
+/// Blobs a serving deployment's cache holds (see
+/// [`SubFrontierCache::default`]).
+const SUBFRONTIER_CAPACITY: usize = 1024;
+
 /// Counters describing sub-frontier cache effectiveness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SubFrontierCacheStats {
@@ -126,9 +130,9 @@ impl SubFrontierCache {
 }
 
 impl Default for SubFrontierCache {
-    /// A cache with the default [`crate::EngineConfig`] capacity.
+    /// The serving layer's cache, holding at most 1024 blobs.
     fn default() -> Self {
-        Self::new(1024)
+        Self::new(SUBFRONTIER_CAPACITY)
     }
 }
 

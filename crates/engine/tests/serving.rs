@@ -9,6 +9,7 @@ use moqo_engine::{
     SessionView,
 };
 use moqo_query::testkit;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -288,10 +289,10 @@ fn watch_streams_deltas_that_reassemble_to_the_exact_frontier() {
     assert!(first.delta.reset);
     let mut view = SessionView::default();
     view.fold(&first).unwrap();
-    // ...and then delivers one event per completed slice until the
-    // session parks; fold until the ladder saturates.
+    // ...and then delivers one event per invocation until the session
+    // parks; fold until the ladder saturates.
     while view.invocations < schedule().levels() as u64 {
-        let ev = rx.recv_timeout(IDLE).expect("slice event");
+        let ev = rx.recv_timeout(IDLE).expect("invocation event");
         view.fold(&ev).unwrap();
     }
     assert!(!view.frontier.is_empty());
@@ -307,6 +308,55 @@ fn watch_streams_deltas_that_reassemble_to_the_exact_frontier() {
     assert!(view.is_finished());
     // Unknown sessions are not watchable.
     assert!(m.watch(9999).is_none());
+}
+
+#[test]
+fn every_invocation_publishes_exactly_one_event() {
+    // Algorithm 1: one invocation, one visualization. A cold session with
+    // no overrides runs one full ladder and publishes one event per
+    // invocation; finishing it publishes exactly one terminal event. The
+    // hook counts every publish, including those before `watch`.
+    let m = manager(2);
+    let published = Arc::new(AtomicUsize::new(0));
+    {
+        let published = Arc::clone(&published);
+        m.set_event_hook(Arc::new(move |_| {
+            published.fetch_add(1, Ordering::SeqCst);
+        }));
+    }
+    let spec = Arc::new(testkit::chain_query(4, 30_000));
+    let id = m.submit(spec.clone());
+    let rx = m.watch(id).expect("live session is watchable");
+    let prime = rx.recv_timeout(IDLE).expect("primed event");
+    assert!(m.wait_idle(IDLE));
+    let levels = schedule().levels();
+    assert_eq!(published.load(Ordering::SeqCst), levels);
+    let mut invocations = prime.invocations;
+    while let Ok(ev) = rx.try_recv() {
+        assert!(
+            ev.report.is_some(),
+            "every refinement event carries its report"
+        );
+        assert_eq!(ev.invocations, invocations + 1, "one invocation per event");
+        invocations = ev.invocations;
+    }
+    assert_eq!(invocations, levels as u64);
+
+    // `finish` on an unfinished session harvests its sub-frontiers, parks
+    // it, and publishes exactly one terminal event.
+    let harvested = m.subfrontier_stats().insertions;
+    m.finish(id).unwrap();
+    assert_eq!(published.load(Ordering::SeqCst), levels + 1);
+    let fin = rx.try_recv().expect("terminal event");
+    assert_eq!(fin.outcome, Some(SessionOutcome::Retired));
+    assert!(fin.report.is_none());
+    assert!(rx.try_recv().is_err(), "nothing follows the terminal event");
+    assert!(m.subfrontier_stats().insertions > harvested);
+    let warm = m.submit(spec);
+    assert!(m.wait_idle(IDLE));
+    let s = m.status(warm).unwrap();
+    assert!(s.warm_start);
+    assert_eq!(s.first_report.unwrap().plans_generated, 0);
 }
 
 #[test]

@@ -16,25 +16,21 @@ pub struct FleetNodeConfig {
     /// Stable node name (what the [`Placement`](crate::Placement)
     /// hashes; survives address changes).
     pub id: String,
-    /// Bind address; port 0 picks a free port (read the actual one from
-    /// [`FleetNode::addr`]).
-    pub addr: String,
     /// The **shared** snapshot directory all fleet nodes persist to and
     /// adopt from; `None` runs without durability (no store fallback on
-    /// frontier pulls, nothing survives a kill).
+    /// frontier pulls, nothing survives a kill). Every snapshot in it is
+    /// restored at start; on a shared directory this over-parks (a node
+    /// restores keys it does not own), which is harmless — placement
+    /// decides who *serves* a key.
     pub store_dir: Option<PathBuf>,
-    /// Restore every snapshot in the store at start. On a shared
-    /// directory this over-parks (a node restores keys it does not own),
-    /// which is harmless — placement decides who *serves* a key — but
-    /// fleets that prefer lazy adoption via `PullFrontier` turn it off.
-    pub restore_on_start: bool,
     /// Persistence sweep cadence; `None` saves only at [`FleetNode::stop`].
     pub sweep: Option<Duration>,
     /// The node-wide resolution ladder.
     pub schedule: ResolutionSchedule,
     /// Shards, admission, channels — the in-process serving config.
     pub serve: ServeConfig,
-    /// I/O threads and socket timeouts of the TCP front.
+    /// Bind address (port 0 picks a free port; read the actual one from
+    /// [`FleetNode::addr`]) and socket timeouts of the TCP front.
     pub net: NetConfig,
 }
 
@@ -43,9 +39,7 @@ impl FleetNodeConfig {
     pub fn loopback(id: impl Into<String>) -> Self {
         Self {
             id: id.into(),
-            addr: "127.0.0.1:0".to_string(),
             store_dir: None,
-            restore_on_start: true,
             sweep: None,
             schedule: ResolutionSchedule::linear(2, 1.1, 0.4),
             serve: ServeConfig::default(),
@@ -77,7 +71,7 @@ pub struct FleetNode {
 }
 
 impl FleetNode {
-    /// Binds and starts the node; restores the store first when
+    /// Binds and starts the node; restores the store first when one is
     /// configured.
     pub fn start(model: SharedCostModel, config: FleetNodeConfig) -> std::io::Result<FleetNode> {
         let server = Arc::new(MoqoServer::new(
@@ -90,17 +84,11 @@ impl FleetNode {
             .store_dir
             .map(|dir| Arc::new(SnapshotStore::new(dir)));
         if let Some(store) = &store {
-            if config.restore_on_start {
-                let _ = store.restore(server.engine());
-            }
+            let _ = store.restore(server.engine());
         }
-        let net_config = NetConfig {
-            addr: config.addr,
-            ..config.net
-        };
         let net = match &store {
-            Some(store) => NetServer::bind_with_store(server, registry, net_config, store.clone())?,
-            None => NetServer::bind(server, registry, net_config)?,
+            Some(store) => NetServer::bind_with_store(server, registry, config.net, store.clone())?,
+            None => NetServer::bind(server, registry, config.net)?,
         };
         let sweeper_stop = Arc::new(AtomicBool::new(false));
         let sweeper = match (&store, config.sweep) {

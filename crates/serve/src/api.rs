@@ -37,14 +37,14 @@ use std::time::Duration;
 /// Serving-front configuration: sharding plus admission.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Shard count, per-shard engine tunables, rebalance headroom.
+    /// Shard count and per-shard engine tunables.
     pub shard: ShardConfig,
     /// Admission bound and overload policy.
     pub admission: AdmissionConfig,
     /// Closed (finished or rejected) tickets kept queryable; the oldest
     /// beyond this many are dropped so a long-lived server's ticket
-    /// table tracks live load, not total traffic (mirrors
-    /// [`moqo_engine::EngineConfig::retired_capacity`]).
+    /// table tracks live load, not total traffic (mirrors the engine's
+    /// bounded history of retired session statuses).
     pub retired_tickets: usize,
 }
 
@@ -267,7 +267,7 @@ impl MoqoServer {
 
     /// Submits a [`SessionRequest`] for interactive optimization (a bare
     /// `Arc<QuerySpec>` converts). Returns immediately with the ticket
-    /// and the protocol-level admission decision; per-slice
+    /// and the protocol-level admission decision; per-invocation
     /// [`SessionEvent`]s arrive on the ticket's channel afterwards.
     ///
     /// Malformed requests (bounds or preference dimensions that do not
@@ -516,10 +516,23 @@ impl MoqoServer {
     /// Returns the final reassembled view; `None` for tickets that never
     /// activated.
     pub fn finish(&self, ticket: Ticket) -> Option<SessionView> {
-        let gid = self.with_tickets(|t| match t.cells.get(&ticket.0) {
-            Some(Cell::Active(active)) => Some(active.gid),
-            _ => None,
+        // Drain the ticket first: a session that already ended has its
+        // terminal event on the ticket channel, while the engine may have
+        // dropped its retired status long ago.
+        let (gid, done) = self.with_tickets(|t| {
+            let Some(Cell::Active(active)) = t.cells.get_mut(&ticket.0) else {
+                return None;
+            };
+            active.drain();
+            let done = active.view.is_finished().then(|| active.view.clone());
+            let gid = active.gid;
+            self.close_if_finished(t, ticket.0);
+            Some((gid, done))
         })?;
+        if let Some(view) = done {
+            self.pump();
+            return Some(view);
+        }
         // The engine publishes the terminal event to the ticket channel;
         // drain it into the view so the caller sees the final state.
         let final_status = self.engine.finish(gid)?;
@@ -591,7 +604,6 @@ mod tests {
                         workers: 2,
                         ..EngineConfig::default()
                     },
-                    rebalance_headroom: 8,
                 },
                 admission,
                 retired_tickets: 1024,
@@ -614,7 +626,7 @@ mod tests {
             other => panic!("expected active ticket, got {other:?}"),
         };
         while view.invocations < 3 {
-            s.recv(t, IDLE).expect("slice event");
+            s.recv(t, IDLE).expect("invocation event");
             view = match s.poll(t).unwrap() {
                 TicketStatus::Active { view, .. } => *view,
                 other => panic!("expected active ticket, got {other:?}"),
@@ -713,7 +725,6 @@ mod tests {
                         workers: 1,
                         ..EngineConfig::default()
                     },
-                    rebalance_headroom: 0,
                 },
                 admission: AdmissionConfig::default(),
                 retired_tickets: 2,
@@ -846,6 +857,54 @@ mod tests {
         assert!(matches!(s.poll(t), Some(TicketStatus::Active { .. })));
         s.command(t, SessionCommand::Refine).unwrap();
         assert!(s.wait_idle(IDLE));
+    }
+
+    #[test]
+    fn finish_returns_the_final_view_after_the_engine_forgot_the_session() {
+        // The engine keeps a bounded history of retired session statuses;
+        // a ticket that activated must still get its final view from its
+        // own stream once that history has dropped the session.
+        let s = MoqoServer::new(
+            Arc::new(StandardCostModel::paper_metrics()),
+            ResolutionSchedule::linear(1, 1.2, 0.4),
+            ServeConfig {
+                shard: ShardConfig {
+                    shards: 1,
+                    engine: EngineConfig {
+                        workers: 1,
+                        ..EngineConfig::default()
+                    },
+                },
+                admission: AdmissionConfig::default(),
+                retired_tickets: 1024,
+            },
+        );
+        let request = || {
+            SessionRequest::new(Arc::new(testkit::chain_query(2, 10_000)))
+                .with_preference(moqo_core::Preference::WeightedSum(vec![1.0, 0.01, 0.01]))
+        };
+        // Finishes on its own (preference auto-select); never polled.
+        let (old, _) = s.submit(request()).unwrap();
+        assert!(s.wait_idle(IDLE));
+        for _ in 0..300 {
+            let (t, _) = s.submit(request()).unwrap();
+            assert!(s.wait_idle(IDLE));
+            match s.poll(t).unwrap() {
+                TicketStatus::Active { view, .. } => assert!(view.is_finished()),
+                other => panic!("expected a finished session, got {other:?}"),
+            }
+        }
+        let view = s
+            .finish(old)
+            .expect("the final view of an activated ticket");
+        assert!(view.is_finished());
+        assert!(matches!(
+            view.outcome,
+            Some(SessionOutcome::Selected {
+                by_preference: true,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!
 //! Expensive frames — submits (admission + warm-start routing) and
 //! frontier transfers (file I/O, validation) — ship to a small pool of
-//! **decode/dispatch workers** (`moqo-net-io-*`, [`NetConfig::io_threads`]),
-//! keyed by connection so per-stream order is preserved. Workers post
+//! **decode/dispatch workers** (`moqo-net-io-*`, two threads), keyed by
+//! connection so per-stream order is preserved. Workers post
 //! completions back and ring the wake channel.
 //!
 //! Session events flow the same way: the server installs a
@@ -54,8 +54,8 @@
 //! (deltas compose with [`FrontierDelta::then`], the event declares the
 //! epoch range it covers), so folding the merged frame leaves the
 //! client's [`SessionView`] bit-identical to folding the originals
-//! one-for-one. The outbound queue is bounded
-//! ([`NetConfig::max_outbound`]); a connection that exceeds it, or that
+//! one-for-one. The outbound queue is bounded (8 MiB per connection); a
+//! connection that exceeds it, or that
 //! makes no write progress for [`NetConfig::write_timeout`], is counted
 //! stalled and retired (parking its session). [`NetStats`] exposes the
 //! backpressure picture: `coalesced_events`, `outbound_high_water`,
@@ -103,11 +103,6 @@ pub struct NetConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`NetServer::local_addr`]).
     pub addr: String,
-    /// Decode/dispatch worker threads. The event loop hands them the
-    /// expensive frames (submits, frontier transfers); the optimizer
-    /// work itself runs on the engine's shard workers, so a handful
-    /// serves many connections.
-    pub io_threads: usize,
     /// How long a connection with queued outbound bytes may go without
     /// any write progress before it is counted stalled and retired. A
     /// client that stops reading while the server streams events never
@@ -121,21 +116,15 @@ pub struct NetConfig {
     /// Outbound bytes beyond which session events coalesce into one
     /// pending frame instead of being serialized individually.
     pub coalesce_after: usize,
-    /// Hard bound on one connection's outbound buffer. Exceeding it
-    /// (a slow reader that also triggered large frames) stalls the
-    /// connection out immediately.
-    pub max_outbound: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            io_threads: 2,
             write_timeout: Duration::from_secs(5),
             send_buffer: None,
             coalesce_after: 64 << 10,
-            max_outbound: 8 << 20,
         }
     }
 }
@@ -157,33 +146,12 @@ pub struct NetStats {
     /// readers.
     pub coalesced_events: u64,
     /// High-water mark of any single connection's outbound buffer, in
-    /// bytes (how close the worst reader came to
-    /// [`NetConfig::max_outbound`]).
+    /// bytes (how close the worst reader came to the 8 MiB bound).
     pub outbound_high_water: u64,
     /// Connections retired for making no write progress within
-    /// [`NetConfig::write_timeout`] or overflowing
-    /// [`NetConfig::max_outbound`] (also counted in `faulted`).
+    /// [`NetConfig::write_timeout`] or overflowing the 8 MiB outbound
+    /// bound (also counted in `faulted`).
     pub stalled: u64,
-    /// Sessions the engine routed to an exact parked frontier (summed
-    /// over shards; includes in-process traffic on the shared server).
-    pub warm_routed: u64,
-    /// Sessions the engine routed to a rebase donor — a parked frontier
-    /// of the same shape under drifted catalog cardinalities.
-    pub rebase_routed: u64,
-    /// Sub-frontier transplant cache hits: table subsets of admitted
-    /// queries seeded from state harvested off *similar* queries.
-    pub subfrontier_hits: u64,
-    /// Sub-frontier transplant cache misses.
-    pub subfrontier_misses: u64,
-    /// Sessions the engine started cold — no parked frontier, no rebase
-    /// donor (summed over shards; with `warm_routed` and
-    /// `rebase_routed` this is the per-node route breakdown a fleet
-    /// router balances on).
-    pub cold_routed: u64,
-    /// Sessions a non-home shard absorbed under rebalance headroom.
-    pub rebalanced_in: u64,
-    /// Admitted, not-yet-finished sessions right now (load figure).
-    pub live: u64,
     /// Sessions parked because their connection disconnected or faulted
     /// before the terminal event — warm state captured off vanished
     /// clients.
@@ -220,6 +188,15 @@ const FIRST_CONN_TOKEN: usize = 1;
 /// One socket drain reads at most this much before yielding to the
 /// next ready connection (level-triggered polling re-reports the rest).
 const MAX_READ_PER_VISIT: usize = 1 << 20;
+/// Decode/dispatch worker threads. The event loop hands them the
+/// expensive frames (submits, frontier transfers); the optimizer work
+/// itself runs on the engine's shard workers, so a handful serves many
+/// connections.
+const IO_THREADS: usize = 2;
+/// Hard bound on one connection's outbound buffer. Exceeding it (a slow
+/// reader that also triggered large frames) stalls the connection out
+/// immediately.
+const MAX_OUTBOUND: usize = 8 << 20;
 
 /// Work the event loop hands to the decode/dispatch pool. Jobs for one
 /// connection always land on the same worker (keyed by token), so
@@ -951,7 +928,6 @@ impl EventLoop {
     /// closing/faulting the connection as its state dictates.
     fn pump_out(&mut self, token: usize) {
         let coalesce_after = self.config.coalesce_after;
-        let max_outbound = self.config.max_outbound;
         let mut fate: Option<Close> = None;
         {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -980,7 +956,7 @@ impl EventLoop {
                 break;
             }
             if fate.is_none() {
-                if conn.out.pending() > max_outbound {
+                if conn.out.pending() > MAX_OUTBOUND {
                     fate = Some(Close::Stalled);
                 } else if conn.closing && conn.out.is_empty() && conn.pending_event.is_none() {
                     fate = Some(Close::Done);
@@ -1146,7 +1122,7 @@ impl NetServer {
 
         let mut threads = Vec::new();
         let mut jobs = Vec::new();
-        for i in 0..config.io_threads.max(1) {
+        for i in 0..IO_THREADS {
             let (tx, rx) = mpsc::channel();
             jobs.push(tx);
             let front = front.clone();
@@ -1201,8 +1177,6 @@ impl NetServer {
 
     /// Network-front counters.
     pub fn stats(&self) -> NetStats {
-        let shards = self.server.engine().shard_stats();
-        let sub = self.server.engine().subfrontier_stats();
         NetStats {
             accepted: self.counters.accepted.load(Ordering::Relaxed),
             frames_in: self.counters.frames_in.load(Ordering::Relaxed),
@@ -1211,13 +1185,6 @@ impl NetServer {
             coalesced_events: self.counters.coalesced_events.load(Ordering::Relaxed),
             outbound_high_water: self.counters.outbound_high_water.load(Ordering::Relaxed),
             stalled: self.counters.stalled.load(Ordering::Relaxed),
-            warm_routed: shards.iter().map(|s| s.warm_routed).sum(),
-            rebase_routed: shards.iter().map(|s| s.rebase_routed).sum(),
-            subfrontier_hits: sub.hits,
-            subfrontier_misses: sub.misses,
-            cold_routed: shards.iter().map(|s| s.cold_routed).sum(),
-            rebalanced_in: shards.iter().map(|s| s.rebalanced_in).sum(),
-            live: shards.iter().map(|s| s.live as u64).sum(),
             disconnect_parked: self.counters.disconnect_parked.load(Ordering::Relaxed),
             frontier_pulls: self.counters.frontier_pulls.load(Ordering::Relaxed),
             frontier_misses: self.counters.frontier_misses.load(Ordering::Relaxed),
@@ -1536,7 +1503,6 @@ mod tests {
                         workers: 2,
                         ..EngineConfig::default()
                     },
-                    rebalance_headroom: 8,
                 },
                 admission,
                 retired_tickets: 1024,
@@ -1748,7 +1714,8 @@ mod tests {
         let sb = b.stats();
         assert_eq!(sb.frontier_pushes, 1);
         assert_eq!(sb.frontier_refused, 1);
-        assert!(sb.warm_routed >= 1);
+        let warm: u64 = b.moqo().stats().shards.iter().map(|s| s.warm_routed).sum();
+        assert!(warm >= 1);
         a.shutdown();
         b.shutdown();
     }
@@ -1815,7 +1782,11 @@ mod tests {
         }
         let stats = net.stats();
         assert_eq!(stats.disconnect_parked, 1);
-        assert_eq!(stats.live, 0, "disconnect must not leak a session slot");
+        assert_eq!(
+            net.moqo().stats().live,
+            0,
+            "disconnect must not leak a session slot"
+        );
         let fp = net.moqo().engine().fingerprint(&spec);
         assert!(net.moqo().engine().has_parked(fp));
         net.shutdown();
@@ -1955,7 +1926,11 @@ mod tests {
         let stats = net.stats();
         assert!(stats.stalled >= 1);
         assert!(stats.outbound_high_water > 0);
-        assert_eq!(stats.live, 0, "control connections never hold sessions");
+        assert_eq!(
+            net.moqo().stats().live,
+            0,
+            "control connections never hold sessions"
+        );
         drop(raw);
         net.shutdown();
     }
@@ -1992,7 +1967,11 @@ mod tests {
         // Idle period: several probe/sweep intervals long, nobody talks.
         thread::sleep(Duration::from_millis(300));
         let stats = net.stats();
-        assert_eq!(stats.live, SESSIONS as u64, "idle sessions must stay live");
+        assert_eq!(
+            net.moqo().stats().live,
+            SESSIONS,
+            "idle sessions must stay live"
+        );
         assert_eq!(stats.faulted, 0);
         // Everyone wakes up and finishes; no event was lost while idle.
         for client in &mut clients {
@@ -2003,7 +1982,7 @@ mod tests {
             let view = client.wait_finished(IDLE).expect("terminal event");
             assert_eq!(view.selected(), Some(plan));
         }
-        assert_eq!(net.stats().live, 0);
+        assert_eq!(net.moqo().stats().live, 0);
         net.shutdown();
     }
 

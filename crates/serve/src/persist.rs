@@ -269,7 +269,7 @@ mod tests {
     use crate::shard::ShardConfig;
     use moqo_cost::ResolutionSchedule;
     use moqo_costmodel::StandardCostModel;
-    use moqo_engine::EngineConfig;
+    use moqo_engine::{EngineConfig, RebaseKey};
     use moqo_query::testkit;
     use std::sync::Arc;
     use std::time::Duration;
@@ -286,7 +286,6 @@ mod tests {
                     workers: 2,
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 0,
             },
         )
     }
@@ -326,7 +325,8 @@ mod tests {
             let fp = e.fingerprint(spec);
             assert!(e.has_parked(fp));
             // Restored frontiers live at the fingerprint's home shard.
-            assert_eq!(e.home_shard(fp), e.route(fp).0);
+            let rebase = RebaseKey::of(spec, &e.model());
+            assert_eq!(e.home_shard(fp), e.route(fp, rebase).0);
             let (gid, decision) = e.submit(spec.clone());
             assert!(decision.is_warm());
             assert!(e.wait_idle(IDLE));

@@ -1,7 +1,7 @@
 //! Fingerprint-sharded session placement.
 //!
 //! One [`SessionManager`] saturates at some number of concurrent sessions:
-//! every submission, event, and slice check-in crosses its single state
+//! every submission, event, and worker check-in crosses its single state
 //! lock, and its `FrontierCache` / `PlanCache` warm exactly the queries it
 //! has seen. [`ShardedEngine`] runs N independent managers and routes each
 //! submission by its [`QueryFingerprint`] hash, so
@@ -19,8 +19,8 @@
 //! The router is **warmth-aware and rebalance-aware**: a fingerprint whose
 //! home shard parks its frontier always goes home (moving it would forfeit
 //! the warm state), while a *cold* fingerprint may be diverted to the
-//! least-loaded shard when its home shard is overloaded by more than
-//! [`ShardConfig::rebalance_headroom`] sessions. Home placement is a pure
+//! least-loaded shard when its home shard carries at least
+//! `REBALANCE_HEADROOM` (8) more live sessions. Home placement is a pure
 //! function of fingerprint and shard count, so two engines with equal
 //! shard counts agree on every home — the property that lets a restarted
 //! process re-park restored frontiers where future submissions will look.
@@ -38,19 +38,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+/// How many more live sessions than the least-loaded shard a cold
+/// submission's home shard may carry before the router diverts the
+/// submission there. Warm submissions are never diverted.
+const REBALANCE_HEADROOM: usize = 8;
+
 /// Tunables of the sharded serving front.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
     /// Number of independent [`SessionManager`] shards. At least 1.
     pub shards: usize,
     /// Engine configuration applied to every shard (worker count, cache
-    /// capacity, slice budget, ...).
+    /// capacity).
     pub engine: EngineConfig,
-    /// How many live sessions a cold submission's home shard may exceed
-    /// the least-loaded shard by before the router diverts the submission
-    /// there. Warm submissions are never diverted. `0` disables
-    /// rebalancing (strict hash placement).
-    pub rebalance_headroom: usize,
 }
 
 impl Default for ShardConfig {
@@ -58,7 +58,6 @@ impl Default for ShardConfig {
         Self {
             shards: 4,
             engine: EngineConfig::default(),
-            rebalance_headroom: 8,
         }
     }
 }
@@ -163,7 +162,6 @@ pub struct ShardedEngine {
     counters: Vec<RouteCounters>,
     model: SharedCostModel,
     schedule: ResolutionSchedule,
-    rebalance_headroom: usize,
 }
 
 impl ShardedEngine {
@@ -175,7 +173,7 @@ impl ShardedEngine {
         // are position- and query-independent immutable blobs, so unlike
         // parked optimizers they are safe (and profitable) to share —
         // a subset harvested on shard 0 seeds a similar query on shard 3.
-        let subfrontiers = Arc::new(SubFrontierCache::new(config.engine.subfrontier_capacity));
+        let subfrontiers = Arc::new(SubFrontierCache::default());
         let shards = (0..n)
             .map(|_| {
                 SessionManager::with_subfrontiers(
@@ -191,7 +189,6 @@ impl ShardedEngine {
             counters: (0..n).map(|_| RouteCounters::default()).collect(),
             model,
             schedule,
-            rebalance_headroom: config.rebalance_headroom,
         }
     }
 
@@ -232,35 +229,13 @@ impl ShardedEngine {
         (fp.as_u64() % self.shards.len() as u64) as usize
     }
 
-    /// Routes a fingerprint: to parked warmth wherever it lives (home
-    /// first), otherwise home — unless home is overloaded and the
-    /// fingerprint is cold (nothing warm to forfeit), in which case the
-    /// least-loaded shard takes it. Routing without a [`RebaseKey`] skips
-    /// the rebase-donor tier; [`ShardedEngine::route_with_rebase`] is the
-    /// full policy.
-    pub fn route(&self, fp: QueryFingerprint) -> (usize, RouteDecision) {
-        self.route_inner(fp, None)
-    }
-
     /// Routes a fingerprint with its cardinality-blind [`RebaseKey`]:
     /// exact warmth wherever it lives (home first), then a **rebase
     /// donor** — a parked frontier of the same shape under drifted
     /// cardinalities — wherever one is parked (home first), then home,
     /// unless home is overloaded, in which case the least-loaded shard
     /// takes the cold submission.
-    pub fn route_with_rebase(
-        &self,
-        fp: QueryFingerprint,
-        rebase: RebaseKey,
-    ) -> (usize, RouteDecision) {
-        self.route_inner(fp, Some(rebase))
-    }
-
-    fn route_inner(
-        &self,
-        fp: QueryFingerprint,
-        rebase: Option<RebaseKey>,
-    ) -> (usize, RouteDecision) {
+    pub(crate) fn route(&self, fp: QueryFingerprint, rebase: RebaseKey) -> (usize, RouteDecision) {
         let home = self.home_shard(fp);
         if self.shards[home].has_parked(fp) {
             return (home, RouteDecision::WarmHome);
@@ -273,26 +248,22 @@ impl ShardedEngine {
         // No exact frontier anywhere: a shard parking a same-shape
         // frontier under drifted cardinalities still beats a cold start —
         // the manager rebases the donor's plans into the new session.
-        if let Some(key) = rebase {
-            if self.shards[home].has_rebase_donor(key) {
-                return (home, RouteDecision::RebaseHome);
-            }
-            if let Some(remote) = self.shards.iter().position(|s| s.has_rebase_donor(key)) {
-                return (remote, RouteDecision::RebaseRemote { home });
-            }
+        if self.shards[home].has_rebase_donor(rebase) {
+            return (home, RouteDecision::RebaseHome);
         }
-        if self.rebalance_headroom > 0 {
-            let home_load = self.shards[home].live_sessions();
-            let (coolest, min_load) = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i, s.live_sessions()))
-                .min_by_key(|&(_, load)| load)
-                .expect("at least one shard");
-            if coolest != home && home_load >= min_load + self.rebalance_headroom {
-                return (coolest, RouteDecision::Rebalanced { from: home });
-            }
+        if let Some(remote) = self.shards.iter().position(|s| s.has_rebase_donor(rebase)) {
+            return (remote, RouteDecision::RebaseRemote { home });
+        }
+        let home_load = self.shards[home].live_sessions();
+        let (coolest, min_load) = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i, s.live_sessions()))
+            .min_by_key(|&(_, load)| load)
+            .expect("at least one shard");
+        if coolest != home && home_load >= min_load + REBALANCE_HEADROOM {
+            return (coolest, RouteDecision::Rebalanced { from: home });
         }
         (home, RouteDecision::ColdHome)
     }
@@ -315,7 +286,7 @@ impl ShardedEngine {
         request.validate(model.dim())?;
         let fp = self.fingerprint_of(&request);
         let rebase = RebaseKey::of(&request.spec, &model);
-        let (shard, decision) = self.route_with_rebase(fp, rebase);
+        let (shard, decision) = self.route(fp, rebase);
         let counter = &self.counters[shard];
         match decision {
             RouteDecision::WarmHome | RouteDecision::WarmRemote { .. } => {
@@ -497,7 +468,6 @@ mod tests {
                     workers: 2,
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 8,
             },
         )
     }
@@ -538,8 +508,9 @@ mod tests {
 
     #[test]
     fn overloaded_home_diverts_cold_queries_only() {
-        // headroom 3: pile sessions onto one shard's hash bucket until a
-        // cold stranger diverts, then verify a warm repeat does not.
+        // Pile REBALANCE_HEADROOM sessions onto one shard's hash bucket
+        // until a cold stranger diverts, then verify a warm repeat does
+        // not.
         let e = ShardedEngine::new(
             Arc::new(StandardCostModel::paper_metrics()),
             ResolutionSchedule::linear(2, 1.1, 0.4),
@@ -551,13 +522,12 @@ mod tests {
                     // finished, keeping the load imbalance visible.
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 3,
             },
         );
-        // Find specs hashing to shard 0 until we exceed the headroom.
+        // Find specs hashing to shard 0 until we reach the headroom.
         let mut loaded = 0usize;
         let mut card = 10_000u64;
-        while loaded < 3 {
+        while loaded < REBALANCE_HEADROOM {
             card += 17;
             let spec = Arc::new(testkit::chain_query(3, card));
             if e.home_shard(e.fingerprint(&spec)) == 0 {

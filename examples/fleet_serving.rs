@@ -145,13 +145,17 @@ fn main() {
     }
 
     let stats = nodes[&new_home].net().stats();
+    let warm_routed: u64 = nodes[&new_home]
+        .net()
+        .moqo()
+        .stats()
+        .shards
+        .iter()
+        .map(|s| s.warm_routed)
+        .sum();
     println!(
         "{} stats: pulls={} pushes={} warm_routed={} disconnect_parked={}",
-        new_home,
-        stats.frontier_pulls,
-        stats.frontier_pushes,
-        stats.warm_routed,
-        stats.disconnect_parked
+        new_home, stats.frontier_pulls, stats.frontier_pushes, warm_routed, stats.disconnect_parked
     );
     for (_, node) in nodes {
         node.stop();

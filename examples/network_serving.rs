@@ -44,7 +44,6 @@ fn serve_config(max_live: usize, policy: AdmissionPolicy) -> ServeConfig {
                 workers: 2,
                 ..EngineConfig::default()
             },
-            rebalance_headroom: 8,
         },
         admission: AdmissionConfig { max_live, policy },
         ..ServeConfig::default()

@@ -149,7 +149,6 @@ fn drive_serve(model: SharedCostModel) -> LayerRun {
                     workers: 2,
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 8,
             },
             ..ServeConfig::default()
         },

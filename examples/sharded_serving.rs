@@ -35,7 +35,6 @@ fn server(snapshot_tag: &str) -> (MoqoServer, SnapshotStore) {
                 workers: 2,
                 ..EngineConfig::default()
             },
-            rebalance_headroom: 8,
         },
         admission: AdmissionConfig {
             max_live: 48,

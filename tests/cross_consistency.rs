@@ -167,7 +167,6 @@ fn network_replay_of_the_protocol_tour_is_bit_exact_with_the_core_session() {
                     workers: 2,
                     ..EngineConfig::default()
                 },
-                rebalance_headroom: 8,
             },
             ..ServeConfig::default()
         },
